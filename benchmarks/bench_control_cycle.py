@@ -72,14 +72,10 @@ def build_state(
     num_jobs: int = 150,
     t: float = 30_000.0,
     *,
-    warm: bool = True,
     shards: int = 1,
 ):
     """A mid-run-like cluster state: ~3 jobs running per node, one web app.
 
-    ``warm=False`` builds the controller with cross-cycle warm starts
-    disabled (``ControllerConfig(warm_start=False)``): the cold path,
-    bit-identical in results, measured separately by the scaling grid.
     ``shards > 1`` builds a :class:`ShardedController` over the same
     state instead of the monolithic controller.
     """
@@ -91,7 +87,7 @@ def build_state(
         min_instances=1, max_instances=num_nodes,
         model_kind="closed", think_time=0.2,
     )
-    config = ControllerConfig(warm_start=warm, shards=shards)
+    config = ControllerConfig(shards=shards)
     if shards > 1:
         controller = ShardedController([spec], config)
     else:
@@ -157,18 +153,15 @@ def machine_calibration_ms() -> float:
     return statistics.median(samples)
 
 
-def _time_decides(
-    num_nodes: int, num_jobs: int, repeats: int, warm: bool, shards: int = 1
-):
+def _time_decides(num_nodes: int, num_jobs: int, repeats: int, shards: int = 1):
     """Median/p95 of repeated decide() calls on one shared controller.
 
-    Repeated decides over a quasi-static state are exactly the
-    steady-state regime of a deployed controller; with ``warm=True`` the
-    cross-cycle :class:`~repro.core.control_state.ControlState` engages
-    from the second call on (the warm-up call is the cold first cycle).
+    Repeated decides over a quasi-static state are the steady-state
+    regime of a deployed controller; the first (untimed) call absorbs
+    one-off interpreter and allocator costs.
     """
     controller, cluster, jobs, placement, vm_states, app_nodes, t = build_state(
-        num_nodes, num_jobs, warm=warm, shards=shards
+        num_nodes, num_jobs, shards=shards
     )
     nodes = cluster.active_nodes()
 
@@ -192,33 +185,22 @@ def _time_decides(
 
 
 def measure_point(num_nodes: int, num_jobs: int, repeats: int = _REPEATS) -> dict:
-    """Warm- and cold-path decide() latency on one grid point.
+    """Steady-state decide() latency on one grid point.
 
-    ``decide_median_ms`` / ``decide_p95_ms`` are the **steady-state warm
-    path** (the anchor quoted in perf PRs -- what a long-running
-    controller pays per cycle); ``decide_cold_*`` measure the same state
-    with cross-cycle warm starts disabled.  Warm and cold placements are
-    bit-identical (tests/property/test_warm_differential.py), so the gap
-    is pure control-plane caching.
+    ``decide_median_ms`` / ``decide_p95_ms`` are what a long-running
+    controller pays per cycle (the 100x1000 median is the anchor quoted
+    in perf PRs).
     """
-    warm_median, warm_p95, decision = _time_decides(
-        num_nodes, num_jobs, repeats, warm=True
-    )
-    cold_median, cold_p95, _ = _time_decides(num_nodes, num_jobs, repeats, warm=False)
+    median, p95, decision = _time_decides(num_nodes, num_jobs, repeats)
     telemetry = decision.diagnostics.telemetry
     return {
         "nodes": num_nodes,
         "jobs": num_jobs,
         "population": decision.diagnostics.population_size,
         "repeats": repeats,
-        "decide_median_ms": warm_median,
-        "decide_p95_ms": warm_p95,
-        "decide_cold_median_ms": cold_median,
-        "decide_cold_p95_ms": cold_p95,
-        "warm_mode": telemetry.mode,
+        "decide_median_ms": median,
+        "decide_p95_ms": p95,
         "eq_cache_hit_rate": telemetry.cache_hit_rate,
-        "eq_seed_hits": telemetry.seed_hits,
-        "eq_seed_misses": telemetry.seed_misses,
     }
 
 
@@ -227,7 +209,7 @@ def measure_sharded_point(
 ) -> dict:
     """The sharded headline: monolithic vs sharded on one big point.
 
-    The monolithic side reuses the warm-path measurement.  The sharded
+    The monolithic side reuses the grid-point measurement.  The sharded
     side times the same repeated-decide regime and additionally extracts,
     from each decision's own telemetry, the **critical path**: the
     ``stage_ms:overhead`` (partition + route + merge, serial in the
@@ -237,10 +219,10 @@ def measure_sharded_point(
     host it exceeds the monolithic wall (all shards still run serially),
     which is exactly why the critical path is the headline metric.
     """
-    mono_median, mono_p95, _ = _time_decides(num_nodes, num_jobs, repeats, warm=True)
+    mono_median, mono_p95, _ = _time_decides(num_nodes, num_jobs, repeats)
 
     controller, cluster, jobs, placement, vm_states, app_nodes, t = build_state(
-        num_nodes, num_jobs, warm=True, shards=shards
+        num_nodes, num_jobs, shards=shards
     )
     nodes = cluster.active_nodes()
 
@@ -250,7 +232,7 @@ def measure_sharded_point(
             vm_states=vm_states, app_nodes=app_nodes,
         )
 
-    decision = decide()  # cold first cycle; warm path from here on
+    decision = decide()  # untimed first cycle
     decision.placement.validate(cluster)
     walls, overheads, criticals = [], [], []
     for _ in range(repeats):
@@ -278,7 +260,6 @@ def measure_sharded_point(
         "critical_path_median_ms": statistics.median(criticals),
         "critical_path_speedup": mono_median / statistics.median(criticals),
         "shard_imbalance": decision.diagnostics.shard_imbalance,
-        "warm_mode": decision.diagnostics.telemetry.mode,
     }
 
 
@@ -296,10 +277,6 @@ def run_grid(smoke: bool = False) -> dict:
         point = measure_point(num_nodes, num_jobs)
         point["decide_median_normalized"] = point["decide_median_ms"] / calibration
         point["decide_p95_normalized"] = point["decide_p95_ms"] / calibration
-        point["decide_cold_median_normalized"] = (
-            point["decide_cold_median_ms"] / calibration
-        )
-        point["decide_cold_p95_normalized"] = point["decide_cold_p95_ms"] / calibration
         points.append(point)
     doc = {
         "bench": "control_cycle_scaling",
@@ -372,14 +349,14 @@ def test_control_cycle_scaling():
     doc = run_grid(smoke=smoke)
     path = _write_artifact(doc)
     header = (
-        f"{'nodes':>6} {'jobs':>6} {'warm ms':>9} {'cold ms':>9} "
+        f"{'nodes':>6} {'jobs':>6} {'median ms':>9} "
         f"{'p95 ms':>8} {'norm':>7} {'hit%':>6}"
     )
     print(f"\n{header}")
     for p in doc["points"]:
         print(
             f"{p['nodes']:>6} {p['jobs']:>6} {p['decide_median_ms']:>9.2f} "
-            f"{p['decide_cold_median_ms']:>9.2f} {p['decide_p95_ms']:>8.2f} "
+            f"{p['decide_p95_ms']:>8.2f} "
             f"{p['decide_median_normalized']:>7.3f} "
             f"{100 * p['eq_cache_hit_rate']:>6.1f}"
         )

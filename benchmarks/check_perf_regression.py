@@ -4,7 +4,7 @@ Two gates, both measured fresh on the CI runner and compared
 self-relatively (so hardware differences between the committing machine
 and the runner cannot fail the job spuriously):
 
-1. **Warm anchor** -- the steady-state warm path on the 100 nodes x
+1. **Anchor** -- the steady-state decide() median on the 100 nodes x
    1000 jobs grid point, machine-normalized, against the committed
    ``BENCH_control_cycle.json``.
 2. **Sharded headline** -- the 1000 nodes x 10000 jobs point: the
@@ -18,9 +18,9 @@ and the runner cannot fail the job spuriously):
 Knobs:
 
 * ``BENCH_ANCHOR_TOLERANCE``    -- allowed relative regression of the
-  warm anchor (default 0.25).
-* ``BENCH_ANCHOR_REPEATS``      -- decide() repetitions for the warm
-  anchor (default 15: CI timers are noisy and the comparison is a gate,
+  anchor (default 0.25).
+* ``BENCH_ANCHOR_REPEATS``      -- decide() repetitions for the anchor
+  (default 15: CI timers are noisy and the comparison is a gate,
   not a measurement).
 * ``BENCH_SHARDED_MIN_SPEEDUP`` -- required fresh monolithic/critical-
   path ratio at the headline point (default 1.0: sharding must not
@@ -77,7 +77,7 @@ def committed_sharded() -> dict | None:
     return doc.get("sharded") if doc is not None else None
 
 
-def check_warm_anchor() -> int:
+def check_anchor() -> int:
     tolerance = float(os.environ.get("BENCH_ANCHOR_TOLERANCE", "0.25"))
     repeats = int(os.environ.get("BENCH_ANCHOR_REPEATS", "15"))
 
@@ -90,14 +90,12 @@ def check_warm_anchor() -> int:
         return 2
 
     calibration = machine_calibration_ms()
-    median_ms, p95_ms, _ = _time_decides(
-        ANCHOR_NODES, ANCHOR_JOBS, repeats, warm=True
-    )
+    median_ms, p95_ms, _ = _time_decides(ANCHOR_NODES, ANCHOR_JOBS, repeats)
     fresh_norm = median_ms / calibration
     committed_norm = float(committed["decide_median_normalized"])
     limit = committed_norm * (1.0 + tolerance)
 
-    print(f"{ANCHOR_NODES}x{ANCHOR_JOBS} warm decide() anchor (machine-normalized)")
+    print(f"{ANCHOR_NODES}x{ANCHOR_JOBS} decide() anchor (machine-normalized)")
     print(f"  committed: {committed_norm:8.3f}  ({committed['decide_median_ms']:.2f} ms)")
     print(f"  fresh:     {fresh_norm:8.3f}  ({median_ms:.2f} ms, p95 {p95_ms:.2f} ms,")
     print(f"              calibration {calibration:.3f} ms, repeats {repeats})")
@@ -147,7 +145,7 @@ def check_sharded_headline() -> int:
 
 
 def main() -> int:
-    anchor_rc = check_warm_anchor()
+    anchor_rc = check_anchor()
     sharded_rc = check_sharded_headline()
     return max(anchor_rc, sharded_rc)
 

@@ -146,18 +146,6 @@ class ControllerConfig:
         Placement-solver tunables (:class:`SolverConfig`), including the
         ``backend`` name that picks the solver implementation from
         :mod:`repro.core.backends` (greedy heuristic vs optimal MILP).
-    warm_start:
-        Whether the controller keeps a cross-cycle
-        :class:`~repro.core.control_state.ControlState` and offers the
-        previous cycle's converged equalization level as a (verified,
-        result-preserving) warm seed to the next one.  ``False``
-        reproduces the fully stateless pipeline.
-    warm_demand_rtol:
-        Relative demand/population shift between consecutive cycles
-        beyond which the warm hints are dropped and the cycle runs cold.
-    warm_seed_depth:
-        Bisection depth of the equalizer's verified warm bracket (the
-        equalizer cascades to shallower depths when the level drifted).
     shards:
         Number of cluster shards of the hierarchical control plane
         (:class:`repro.core.sharded.ShardedController`).  ``1`` (the
@@ -232,9 +220,6 @@ class ControllerConfig:
     solver: SolverConfig = field(default_factory=SolverConfig)
     # New fields append after the seed ones so positional construction
     # of this public frozen dataclass keeps working.
-    warm_start: bool = True
-    warm_demand_rtol: float = 0.35
-    warm_seed_depth: int = 8
     shards: int = 1
     shard_workers: int = 1
     shard_planner: str = "round-robin"
@@ -259,10 +244,6 @@ class ControllerConfig:
             raise ConfigurationError("rt_tolerance must be positive")
         if not 0 < self.estimator_alpha <= 1:
             raise ConfigurationError("estimator_alpha must be in (0, 1]")
-        if self.warm_demand_rtol < 0:
-            raise ConfigurationError("warm_demand_rtol must be non-negative")
-        if self.warm_seed_depth < 1:
-            raise ConfigurationError("warm_seed_depth must be >= 1")
         if not isinstance(self.shards, int) or self.shards < 1:
             raise ConfigurationError("shards must be a positive integer")
         if not isinstance(self.shard_workers, int) or self.shard_workers < 1:

@@ -23,8 +23,12 @@ from .backends import (
 )
 from .milp_solver import MilpPlacementSolver
 from .arbiter import Arbiter, ArbiterResult, BisectionArbiter, StealingArbiter, make_arbiter
-from .control_state import ControlState, CycleFingerprint, CycleTelemetry
-from .controller import ControlDecision, ControlDiagnostics, UtilityDrivenController
+from .controller import (
+    ControlDecision,
+    ControlDiagnostics,
+    CycleTelemetry,
+    UtilityDrivenController,
+)
 from .demand import (
     LongRunningCurve,
     TransactionalAggregateCurve,
@@ -75,8 +79,6 @@ __all__ = [
     "ResilientController",
     "ControlDecision",
     "ControlDiagnostics",
-    "ControlState",
-    "CycleFingerprint",
     "CycleTelemetry",
     "EqualizerStats",
     "HypotheticalAllocation",

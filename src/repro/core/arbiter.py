@@ -20,18 +20,14 @@ Two interchangeable implementations with the same fixed point:
 The ABL-ARB ablation bench compares their costs and verifies fixed-point
 agreement.
 
-Warm starting
--------------
+Probe cost
+----------
 The arbiter's bisection is the control cycle's dominant cost because each
-``gap`` probe runs a full hypothetical-utility equalization.  Cross-cycle
-warm starts deliberately do **not** touch the search trajectory here --
-changing the probe sequence would change which tolerance-satisfying split
-is returned, and with it the placement.  Instead the controller warm-starts
-the *curve* it hands in: :class:`~repro.core.demand.LongRunningCurve`
-carries a shared consumed-curve memo and a verified seed from the previous
-cycle's converged level (see
+``gap`` probe runs a hypothetical-utility equalization.  The
+:class:`~repro.core.demand.LongRunningCurve` it is handed carries a
+shared consumed-curve memo (see
 :class:`~repro.core.hypothetical.HypotheticalEqualizer`), which makes the
-identical probe sequence cheaper while returning bit-identical utilities.
+probe sequence cheaper while returning bit-identical utilities.
 ``ArbiterResult.iterations`` still counts *logical* curve evaluations, so
 the ablation's cost metric is unaffected by caching underneath.
 """

@@ -20,15 +20,14 @@ observations (:meth:`UtilityDrivenController.observe_app`) and asks for a
 decision (:meth:`UtilityDrivenController.decide`), exactly as a deployed
 controller would sit behind a monitoring pipeline.
 
-Since the incremental control plane (:mod:`repro.core.control_state`),
-``decide()`` is no longer stateless: a :class:`ControlState` persists
-across cycles, fingerprints each cycle's inputs, and -- when consecutive
-cycles are compatible -- warm-starts the equalizations from the previous
-converged level.  Warm starts are *verified* and therefore
-result-preserving: a warm cycle's placement is bit-identical to a cold
-one's (see the control-state module docstring).  Each cycle also reports
-:class:`~repro.core.control_state.CycleTelemetry`: per-stage wall-times
-and equalizer cache statistics, which the experiment runner records.
+As in the paper, every cycle computes hypothetical utility afresh from
+the current job population: ``decide()`` depends only on its inputs and
+the smoothed demand estimates.  The one value carried from the previous
+decision is the transactional capacity share, handed to exact solver
+backends as a search hint (it never changes the greedy solver's
+answer).  Each cycle also reports :class:`CycleTelemetry`: per-stage
+wall-times and equalizer cache statistics, which the experiment runner
+records.
 """
 
 from __future__ import annotations
@@ -55,7 +54,6 @@ from ..workloads.jobs import Job
 from ..workloads.transactional import TransactionalAppSpec
 from .actions_planner import plan_actions
 from .arbiter import ArbiterResult, make_arbiter
-from .control_state import ControlState, CycleFingerprint, CycleTelemetry
 from .demand import (
     LongRunningCurve,
     TransactionalAggregateCurve,
@@ -69,6 +67,32 @@ from .hypothetical import (
 from .backends import make_solver
 from .job_scheduler import AppRequest, JobRequest
 from .placement_solver import PlacementSolution
+
+
+@dataclass(frozen=True, slots=True)
+class CycleTelemetry:
+    """Per-cycle control-plane telemetry, attached to the diagnostics.
+
+    Attributes
+    ----------
+    stage_ms:
+        Wall-clock milliseconds per decide() stage (``demand``,
+        ``arbiter``, ``equalize``, ``requests``, ``solver``, ``planner``,
+        plus their sum under ``total``).
+    eq_evals / eq_cache_hits:
+        Consumed-curve evaluations performed / avoided via the shared
+        memo across every equalization of the cycle.
+    """
+
+    stage_ms: Mapping[str, float] = field(default_factory=dict)
+    eq_evals: int = 0
+    eq_cache_hits: int = 0
+
+    @property
+    def cache_hit_rate(self) -> float:
+        """Fraction of consumed-curve lookups served by the memo."""
+        lookups = self.eq_evals + self.eq_cache_hits
+        return self.eq_cache_hits / lookups if lookups else 0.0
 
 
 @dataclass(frozen=True)
@@ -93,7 +117,7 @@ class ControlDiagnostics:
     population_size: int
     app_targets: Mapping[str, Mhz] = field(default_factory=dict)
     #: Control-plane telemetry (stage wall-times, cache statistics); None
-    #: for policies that do not run the incremental control plane.
+    #: for policies that do not run this controller (the baselines).
     telemetry: Optional[CycleTelemetry] = None
     #: Graceful degradation (set by
     #: :class:`repro.core.resilient.ResilientController`): whether this
@@ -146,12 +170,6 @@ class UtilityDrivenController:
         Optional utility shapes (default: the paper's linear utility).
         The job shape is applied to hypothetical slacks only through the
         long-running *mean*; the equalized level is shape-independent.
-    control_state:
-        Cross-cycle control-plane state.  Defaults to a fresh
-        :class:`~repro.core.control_state.ControlState` configured from
-        ``config`` (``warm_start`` / ``warm_demand_rtol`` /
-        ``warm_seed_depth``); pass one explicitly to share or inspect it
-        (benchmarks drive warm and cold controllers this way).
     network:
         Optional :class:`~repro.netmodel.context.NetworkContext` binding
         the scenario's zone topology to the cluster's nodes.  Only
@@ -167,7 +185,6 @@ class UtilityDrivenController:
         app_specs: Sequence[TransactionalAppSpec],
         config: Optional[ControllerConfig] = None,
         tx_utility_shape: Optional[UtilityFunction] = None,
-        control_state: Optional[ControlState] = None,
         network: Optional[NetworkContext] = None,
     ) -> None:
         self.config = config or ControllerConfig()
@@ -176,11 +193,6 @@ class UtilityDrivenController:
         self._network = (
             network if network is not None and self.config.latency_weight > 0
             else None
-        )
-        self.control_state = control_state or ControlState(
-            warm=self.config.warm_start,
-            demand_rtol=self.config.warm_demand_rtol,
-            seed_depth=self.config.warm_seed_depth,
         )
         self._specs = {spec.app_id: spec for spec in app_specs}
         self._utilities = {
@@ -198,6 +210,9 @@ class UtilityDrivenController:
         self._solver = self._build_solver()
         self._oracle = self._build_oracle()
         self._oracle_cycles = 0
+        # The previous decision's transactional share of capacity: the
+        # exact backends' search hint (None before the first decision).
+        self._tx_fraction: Optional[float] = None
 
     def _build_solver(self):
         """The placement solver this controller runs on.
@@ -287,7 +302,6 @@ class UtilityDrivenController:
         app_nodes:
             Per-app set of nodes currently hosting an instance.
         """
-        state = self.control_state
         t0 = perf_counter()
         included: list[Job] = []
         population = snapshot_jobs(jobs, t, included=included)
@@ -301,17 +315,6 @@ class UtilityDrivenController:
         capacity = effective_capacity(
             sum(n.cpu_capacity for n in nodes), self.config.capacity_efficiency
         )
-        fingerprint = CycleFingerprint.of(
-            nodes,
-            tuple(self._specs),
-            capacity,
-            tx_curve.max_utility_demand,
-            lr_curve.max_utility_demand,
-            len(population),
-        )
-        warm, cold_reason = state.begin_cycle(fingerprint)
-        if warm and state.lr_level is not None:
-            lr_curve.warm_seed(state.lr_level, state.seed_depth)
         t1 = perf_counter()
 
         split = self._arbiter.split(capacity, tx_curve, lr_curve)
@@ -331,7 +334,7 @@ class UtilityDrivenController:
         # travels in the requests).  The greedy solver has no such hook.
         warm_hint = getattr(self._solver, "warm_start", None)
         if warm_hint is not None:
-            warm_hint(state.tx_fraction)
+            warm_hint(self._tx_fraction)
         solution = self._solver.solve(
             nodes, app_requests, job_requests, lr_target=split.lr_allocation
         )
@@ -346,11 +349,11 @@ class UtilityDrivenController:
             nodes, app_requests, job_requests, split.lr_allocation, solution
         )
 
-        state.complete_cycle(fingerprint, hypothetical.utility_level, split.tx_allocation)
+        self._tx_fraction = (
+            split.tx_allocation / capacity if capacity > 0 else None
+        )
         eq_stats = lr_curve.equalizer.stats
         telemetry = CycleTelemetry(
-            mode="warm" if warm else "cold",
-            reason=cold_reason,
             stage_ms={
                 "demand": (t1 - t0) * 1e3,
                 "arbiter": (t2 - t1) * 1e3,
@@ -362,8 +365,6 @@ class UtilityDrivenController:
             },
             eq_evals=eq_stats.evals,
             eq_cache_hits=eq_stats.cache_hits,
-            seed_hits=eq_stats.seed_hits,
-            seed_misses=eq_stats.seed_misses,
         )
 
         diagnostics = ControlDiagnostics(
@@ -419,7 +420,7 @@ class UtilityDrivenController:
         try:
             warm_hint = getattr(self._oracle, "warm_start", None)
             if warm_hint is not None:
-                warm_hint(self.control_state.tx_fraction)
+                warm_hint(self._tx_fraction)
             exact = self._oracle.solve(
                 nodes, app_requests, job_requests, lr_target=lr_target
             )

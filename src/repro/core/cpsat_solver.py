@@ -26,8 +26,9 @@ differential harness.  Two additions CP-SAT makes cheap:
 * **Warm starts** -- ``AddHint`` seeds the search from the incumbent
   placement (running jobs at their current nodes, web instances where
   they already are) with instance grants guessed from the previous
-  cycle's ``ControlState.tx_fraction``; the controller threads the
-  fraction in through :meth:`CpSatPlacementSolver.warm_start`.
+  decision's transactional share of capacity; the controller threads
+  the fraction in through :meth:`CpSatPlacementSolver.warm_start`
+  (``None`` on its first cycle).
 
 The solved values are laid back out as the flat MILP vector and
 translated by :func:`repro.core.milp_solver.extract_solution`, so both

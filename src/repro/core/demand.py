@@ -210,18 +210,8 @@ class LongRunningCurve:
 
     @property
     def equalizer(self) -> HypotheticalEqualizer:
-        """The shared equalization context (stats, warm seeding)."""
+        """The shared equalization context (evaluation statistics)."""
         return self._equalizer
-
-    def warm_seed(self, level: float, depth: int) -> None:
-        """Seed the equalizer's bisections from a previous converged level.
-
-        The seed is verified per bisection against the cold invariant, so
-        every curve evaluation stays bit-identical (see
-        :meth:`repro.core.hypothetical.HypotheticalEqualizer.seed_level`).
-        """
-        if len(self._population):
-            self._equalizer.seed_level(level, depth)
 
     def equalize(self, allocation: Mhz) -> "HypotheticalAllocation":
         """Float-exact equalization at ``allocation``."""

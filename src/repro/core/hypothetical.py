@@ -99,20 +99,16 @@ def _weighted_mean(values: np.ndarray, weights: np.ndarray) -> float:
 class EqualizerStats:
     """Consumed-curve evaluation accounting for one equalizer.
 
-    The control plane's telemetry (``repro.core.control_state``) reports
-    these per control cycle: how many consumed-curve evaluations actually
-    ran, how many were served by the shared memo, and how often the
-    cross-cycle warm seed verified (resuming the bisection mid-tree)
-    versus fell back to the cold bracket.
+    The controller reports these per control cycle (``CycleTelemetry``):
+    how many consumed-curve evaluations actually ran and how many were
+    served by the shared memo.
     """
 
-    __slots__ = ("evals", "cache_hits", "seed_hits", "seed_misses")
+    __slots__ = ("evals", "cache_hits")
 
     def __init__(self) -> None:
         self.evals = 0
         self.cache_hits = 0
-        self.seed_hits = 0
-        self.seed_misses = 0
 
 
 #: Regime tags returned by ``HypotheticalEqualizer._solve_level``.
@@ -130,38 +126,27 @@ class HypotheticalEqualizer:
     arithmetic is operation-for-operation identical to the original
     single-shot routine (results are bit-identical).
 
-    Two further accelerations, both result-preserving:
-
-    * a **shared consumed-curve memo**: every bisection (coarse or exact,
-      at any allocation) starts from the same ``(u_lo, u_hi)`` bracket,
-      so the midpoints it visits form one dyadic tree per population.
-      Memoizing ``consumed(u)`` by exact float key lets the arbiter's
-      ~15 equalizations share root-side evaluations -- and lets the final
-      float-exact equalization replay its first iterations for free --
-      while reproducing the identical values an uncached run computes.
-    * a **verified warm seed** (:meth:`seed_level`): the previous control
-      cycle's converged utility level selects a candidate subtree at a
-      chosen depth; the bisection resumes there only after verifying the
-      invariant ``consumed(lo) <= allocation < consumed(hi)``, which (by
-      monotonicity of the consumed curve) identifies the *unique* node
-      the cold bisection would occupy at that depth.  A verified seed
-      therefore yields bit-identical results; an unverified one falls
-      back to the cold bracket.
+    A **shared consumed-curve memo** makes repeated equalizations cheap
+    without changing a result: every bisection (coarse or exact, at any
+    allocation) starts from the same ``(u_lo, u_hi)`` bracket, so the
+    midpoints it visits form one dyadic tree per population.  Memoizing
+    ``consumed(u)`` by exact float key lets the arbiter's ~15
+    equalizations share root-side evaluations -- and lets the final
+    float-exact equalization replay its first iterations for free --
+    while reproducing the identical values an uncached run computes.
     """
 
     __slots__ = (
         "population", "stats", "_n", "_caps", "_weights", "_u_max", "_total_cap",
         "_goals_abs", "_goal_lengths", "_remaining", "_t",
         "_no_work", "_has_no_work", "_slack", "_rates_buf", "_nonpos",
-        "_u_lo0", "_u_hi0", "_u_safe", "_memo", "_seed_level", "_seed_depth",
+        "_u_lo0", "_u_hi0", "_u_safe", "_memo",
     )
 
     def __init__(self, population: JobPopulation) -> None:
         self.population = population
         self.stats = EqualizerStats()
         self._memo: dict[float, float] = {}
-        self._seed_level: float | None = None
-        self._seed_depth = 0
         n = self._n = len(population)
         if n == 0:
             return
@@ -227,22 +212,6 @@ class HypotheticalEqualizer:
             return 0.0
         return self._consumed(u)
 
-    def seed_level(self, level: float, depth: int) -> None:
-        """Offer a warm-start hint for subsequent bisections.
-
-        ``level`` is typically the previous control cycle's converged
-        utility level; ``depth`` how many bisection iterations to skip
-        when the hint verifies.  The hint is advisory: each bisection
-        checks the invariant ``consumed(lo) <= allocation < consumed(hi)``
-        on the depth-``depth`` dyadic node containing ``level`` and
-        resumes there only on success, so results are bit-identical to an
-        unseeded run either way (see the class docstring).
-        """
-        if level != level:  # NaN guard: never seed from a poisoned level
-            return
-        self._seed_level = float(level)
-        self._seed_depth = int(depth)
-
     def _consumed_at(self, u: float) -> float:
         """``Σ min(x_j(u), c_j)`` on reused buffers.
 
@@ -281,23 +250,6 @@ class HypotheticalEqualizer:
         self._memo[u] = value
         return value
 
-    def _descend(self, level: float, depth: int) -> tuple[float, float, int]:
-        """The depth-``depth`` dyadic node of the bisection tree containing
-        ``level``, computed with the bisection's own midpoint arithmetic so
-        its endpoints are bit-equal to the brackets a cold run carries."""
-        lo, hi = self._u_lo0, self._u_hi0
-        d = 0
-        while d < depth:
-            mid = 0.5 * (lo + hi)
-            if mid == lo or mid == hi:
-                break
-            if level < mid:
-                hi = mid
-            else:
-                lo = mid
-            d += 1
-        return lo, hi, d
-
     def _solve_level(self, allocation: Mhz, bisect_iters: int) -> tuple[int, float]:
         """Classify the regime at ``allocation`` and find its utility level.
 
@@ -312,39 +264,13 @@ class HypotheticalEqualizer:
         u_hi = self._u_hi0
         if consumed(u_lo) > allocation:
             return _STARVED, u_lo
-        iters = bisect_iters
-        if self._seed_level is not None:
-            # Invariant check: the seeded node must be the one the cold
-            # bisection occupies at its depth (unique by monotonicity of
-            # the consumed curve).  Cascade from the requested depth to
-            # shallower nodes: a deeper node tolerates less drift in the
-            # level, and failed probes stay in the memo where the resumed
-            # bisection can reuse them.
-            seeded = False
-            want = min(self._seed_depth, bisect_iters)
-            while want >= 1:
-                s_lo, s_hi, depth = self._descend(self._seed_level, want)
-                if (
-                    depth > 0
-                    and not consumed(s_lo) > allocation
-                    and consumed(s_hi) > allocation
-                ):
-                    u_lo, u_hi = s_lo, s_hi
-                    iters = bisect_iters - depth
-                    seeded = True
-                    break
-                want //= 2
-            if seeded:
-                self.stats.seed_hits += 1
-            else:
-                self.stats.seed_misses += 1
         # Loop invariant: consumed(u_lo) <= allocation (checked above for
         # the initial floor, preserved by construction).  Once the interval
         # collapses to float resolution the midpoint lands on an endpoint and
         # no further iteration can move ``u_lo``, so breaking early returns
         # the *identical* result the fixed 100-iteration loop would -- it
         # just skips the ~45 no-op evaluations past ~55 iterations.
-        for _ in range(iters):
+        for _ in range(bisect_iters):
             u_mid = 0.5 * (u_lo + u_hi)
             if u_mid == u_lo:
                 break  # consumed(u_lo) <= allocation: u_lo re-selected forever

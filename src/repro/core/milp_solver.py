@@ -548,8 +548,9 @@ def _incumbent_vector(
     Used as a warm-start hint: ``x`` is 1 at each running job's current
     node, ``y`` is 1 at each app's current instances, and ``w`` guesses
     each current instance's grant from ``tx_fraction`` (the previous
-    cycle's transactional share of capacity, via
-    ``ControlState.tx_fraction``).  Hints need not be feasible -- both
+    decision's transactional share of capacity, which the controller
+    passes to :meth:`MilpPlacementSolver.warm_start`).  Hints need not
+    be feasible -- both
     backends treat them as a search starting point, not a constraint.
     """
     num_nodes = len(model.nodes)

@@ -16,8 +16,8 @@ and guarantees the control loop three things:
 A *degraded cycle* keeps the last-known-good placement: entries on nodes
 that disappeared are dropped, per-node CPU is scaled down if a brownout
 shrank capacity, and no other action is taken.  The wrapped policy's
-warm state is invalidated so its next successful cycle re-derives a
-consistent view.  On the success path the wrapped policy's decision is
+next cycle decides afresh from the live state, as every cycle does.
+On the success path the wrapped policy's decision is
 returned untouched, so a fault-free run is bit-identical to an
 unwrapped one.
 
@@ -172,7 +172,6 @@ class ResilientController:
                 f"{self._consecutive_degraded} consecutive degraded cycles "
                 f"(limit {limit}); last fallback reason: {reason}"
             )
-        self._invalidate_inner()
         placement = self._last_known_good(current_placement, nodes)
         actions = plan_actions(current_placement, placement, vm_states)
         job_rates: dict[str, float] = {}
@@ -220,17 +219,6 @@ class ResilientController:
             hypothetical=hypothetical,
             diagnostics=diagnostics,
         )
-
-    def _invalidate_inner(self) -> None:
-        """Force the wrapped policy cold: its warm state may not match the
-        placement the degraded cycle kept."""
-        state = getattr(self.inner, "control_state", None)
-        if state is not None:
-            state.invalidate("degraded")
-            return
-        invalidate = getattr(self.inner, "invalidate", None)
-        if invalidate is not None:
-            invalidate("degraded")
 
     def _last_known_good(
         self, current_placement: Placement, nodes: Sequence[NodeSpec]

@@ -169,10 +169,9 @@ class ExperimentResult:
         budget-relevant placement changes; ``cycles`` counts control
         cycles.
 
-        Control-plane telemetry (policies running the incremental control
-        plane only; NaN otherwise): ``warm_cycle_fraction`` is the
-        share of cycles that ran warm, ``eq_cache_hit_rate`` the fraction
-        of consumed-curve lookups the equalizer's memo served, and
+        Control-plane telemetry (policies running the utility-driven
+        control plane only; NaN otherwise): ``eq_cache_hit_rate`` is the
+        fraction of consumed-curve lookups the equalizer's memo served, and
         ``decide_ms_mean`` the mean decide() wall-time per cycle --
         the one *nondeterministic* metric in this set (wall-clock).
 
@@ -204,7 +203,6 @@ class ExperimentResult:
         outcome = job_outcome_stats(self.jobs, horizon)
         tx_u = rec.series("tx_utility").time_average(0.0, horizon)
         lr_u = rec.series("lr_utility").time_average(0.0, horizon)
-        telem_cycles = rec.counter("warm_cycles") + rec.counter("cold_cycles")
         eq_lookups = rec.counter("eq_evals_total") + rec.counter("eq_cache_hits_total")
         if rec.has_series("stage_ms:total"):
             decide_ms = float(rec.series("stage_ms:total").values.mean())
@@ -222,11 +220,6 @@ class ExperimentResult:
             "mean_job_utility": outcome.mean_utility,
             "disruptive_actions": float(self.action_log.disruptive_total),
             "cycles": float(self.cycles),
-            "warm_cycle_fraction": (
-                rec.counter("warm_cycles") / telem_cycles
-                if telem_cycles
-                else math.nan
-            ),
             "eq_cache_hit_rate": (
                 rec.counter("eq_cache_hits_total") / eq_lookups
                 if eq_lookups
@@ -759,24 +752,17 @@ class ExperimentRunner:
         rec.record("arbiter_iterations", t, diag.arbiter_iterations)
         rec.record("changes", t, solution.changes)
 
-        # Control-plane telemetry (policies without the incremental
+        # Control-plane telemetry (policies without the utility-driven
         # control plane -- the baselines -- simply record nothing here).
         # Naming contract: repro.sim.recorder module docstring.
         telemetry = getattr(diag, "telemetry", None)
         if telemetry is not None:
             for stage, ms in telemetry.stage_ms.items():
                 rec.record(f"stage_ms:{stage}", t, ms)
-            warm = telemetry.mode == "warm"
-            rec.record("cycle_warm", t, 1.0 if warm else 0.0)
             rec.record("eq_evals", t, telemetry.eq_evals)
             rec.record("eq_cache_hits", t, telemetry.eq_cache_hits)
-            rec.bump("warm_cycles" if warm else "cold_cycles")
             rec.bump("eq_evals_total", telemetry.eq_evals)
             rec.bump("eq_cache_hits_total", telemetry.eq_cache_hits)
-            rec.bump("eq_seed_hits_total", telemetry.seed_hits)
-            rec.bump("eq_seed_misses_total", telemetry.seed_misses)
-            if not warm and telemetry.reason:
-                rec.bump(f"invalidations:{telemetry.reason}")
 
         # Background exact-oracle telemetry (the ``exact_oracle``
         # controller knob; naming contract: repro.sim.recorder module
@@ -801,8 +787,6 @@ class ExperimentRunner:
                     t,
                     st.telemetry.stage_ms.get("total", math.nan),
                 )
-                if st.telemetry.mode != "warm" and st.telemetry.reason:
-                    rec.bump(f"invalidations:shard{st.shard}:{st.telemetry.reason}")
 
         # Graceful degradation and fault telemetry (naming contract:
         # repro.sim.recorder module docstring).  ``brownout_fraction`` is

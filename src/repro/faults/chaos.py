@@ -26,8 +26,8 @@ class InjectedFaultError(ReproError):
 class ChaosPolicy:
     """Wrap ``inner`` and fail ``decide()`` with probability ``error_rate``.
 
-    Every other attribute (``observe_app``, ``control_state``,
-    ``invalidate``, ...) is delegated to the wrapped policy, so the
+    Every other attribute (``observe_app``, ``estimated_load``,
+    ``close``, ...) is delegated to the wrapped policy, so the
     wrapper is transparent to the runner and to
     :class:`~repro.core.resilient.ResilientController`.
     """

@@ -24,18 +24,15 @@ Times and values are plain JSON numbers; strict-JSON producers (such as
 
 Control-plane telemetry naming (additive ``repro.recorder/v1`` fields)
 ----------------------------------------------------------------------
-Runs driven by the incremental control plane record, per control cycle:
+Runs driven by the utility-driven control plane record, per control cycle:
 
 * ``stage_ms:<stage>`` series -- decide() wall-time per stage
   (``demand`` / ``arbiter`` / ``equalize`` / ``requests`` / ``solver`` /
   ``planner`` / ``total``), milliseconds;
-* ``cycle_warm`` series -- 1.0 for warm cycles, 0.0 for cold;
 * ``eq_evals`` / ``eq_cache_hits`` series -- consumed-curve evaluations
   performed / served by the equalizer's shared memo that cycle;
-* counters ``warm_cycles`` / ``cold_cycles``, ``eq_evals_total`` /
-  ``eq_cache_hits_total``, ``eq_seed_hits_total`` /
-  ``eq_seed_misses_total``, and ``invalidations:<reason>`` (one counter
-  per observed cold-cycle cause, e.g. ``invalidations:topology-changed``).
+* counters ``eq_evals_total`` / ``eq_cache_hits_total`` -- the same,
+  summed over the run.
 
 Sharded runs (``ControllerConfig.shards > 1``) additionally record:
 
@@ -45,11 +42,6 @@ Sharded runs (``ControllerConfig.shards > 1``) additionally record:
 * ``shard_imbalance`` series -- spread (max - min) of the shards' local
   equalized utility levels at their budgets, the quantity cross-shard
   arrival routing drives down;
-* ``invalidations:shard<i>:<reason>`` counters -- per-shard cold-cycle
-  causes.  The unqualified ``invalidations:<reason>`` counter keeps its
-  cluster-level meaning (bumped once per cycle, with the first cold
-  shard's reason), so shard counters add detail without double-counting
-  a meaning change.
 * The merged ``stage_ms:<stage>`` series sums each stage across shards
   (aggregate work); ``stage_ms:total`` is the observed wall time of the
   whole sharded decide and ``stage_ms:overhead`` its excess over the

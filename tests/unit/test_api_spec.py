@@ -193,6 +193,15 @@ class TestValidationErrors:
         with pytest.raises(SpecValidationError, match="bogus"):
             ScenarioSpec.from_dict(data)
 
+    def test_stale_controller_field_rejected_by_name(self):
+        # Removed controller knobs must fail loudly, never be ignored.
+        data = scenario_spec("smoke").to_dict()
+        data["controller"]["warm_start"] = True
+        with pytest.raises(
+            SpecValidationError, match=r"scenario\.controller: unknown field.*warm_start"
+        ):
+            ScenarioSpec.from_dict(data)
+
     def test_wrong_type_names_field(self):
         data = scenario_spec("smoke").to_dict()
         data["topology"]["num_nodes"] = "four"

@@ -198,3 +198,53 @@ class TestConfig:
         jobs = [make_job(job_id=f"j{i}") for i in range(20)]
         decision = decide(controller, jobs)
         assert decision.diagnostics.equalized
+
+
+class TestExactBackendHint:
+    def test_hint_is_the_previous_decisions_tx_share(self, monkeypatch):
+        from repro.core import PlacementSolver
+        from repro.core import controller as controller_module
+
+        hints = {}
+
+        class RecordingSolver(PlacementSolver):
+            """Greedy solver that records every exact-backend hint."""
+
+            def __init__(self, config):
+                super().__init__(config)
+                self.hints = hints.setdefault(config.backend, [])
+
+            def warm_start(self, tx_fraction):
+                self.hints.append(tx_fraction)
+
+        monkeypatch.setattr(controller_module, "make_solver", RecordingSolver)
+        controller = make_controller(exact_oracle="milp")
+        jobs = [make_job(job_id=f"j{i}") for i in range(6)]
+        shares = []
+        for cycle, load in enumerate((30.0, 90.0, 60.0)):
+            controller.observe_app("web", load=load)
+            diag = decide(controller, jobs, t=600.0 * cycle).diagnostics
+            shares.append(diag.tx_target / diag.capacity)
+
+        expected = [None, shares[0], shares[1]]
+        assert hints == {"greedy": expected, "milp": expected}
+        assert len(set(shares)) > 1  # the loads actually moved the split
+
+
+class TestCycleTelemetry:
+    def test_cache_hit_rate(self):
+        from repro.core import CycleTelemetry
+
+        t = CycleTelemetry(eq_evals=30, eq_cache_hits=10)
+        assert t.cache_hit_rate == pytest.approx(0.25)
+        assert CycleTelemetry().cache_hit_rate == 0.0
+
+    def test_decide_reports_equalizer_work(self):
+        controller = make_controller()
+        controller.observe_app("web", load=70.0)
+        jobs = [make_job(job_id=f"j{i}") for i in range(20)]
+        telemetry = decide(controller, jobs).diagnostics.telemetry
+        assert telemetry.eq_evals > 0
+        assert set(telemetry.stage_ms) == {
+            "demand", "arbiter", "equalize", "requests", "solver", "planner", "total",
+        }

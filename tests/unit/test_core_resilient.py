@@ -84,13 +84,9 @@ class _FakePolicy:
     def __init__(self, script):
         self.script = list(script)
         self.observed = []
-        self.invalidations = []
 
     def observe_app(self, app_id, *, load, service_cycles=None):
         self.observed.append((app_id, load))
-
-    def invalidate(self, reason):
-        self.invalidations.append(reason)
 
     def decide(self, t, **kwargs):
         step = self.script.pop(0)
@@ -119,7 +115,6 @@ class TestPassThrough:
         wrapped = ResilientController(inner, ControllerConfig())
         assert _call(wrapped, nodes=nodes) is decision
         assert wrapped.degraded_cycles == 0
-        assert not inner.invalidations
 
     def test_observe_app_passes_through(self):
         inner = _FakePolicy([])
@@ -144,7 +139,6 @@ class TestExceptionFallback:
         assert decision.diagnostics.fallback_reason == "exception:RuntimeError"
         assert list(decision.placement) == list(current)
         assert decision.actions == []
-        assert inner.invalidations == ["degraded"]
 
     def test_model_error_degrades_with_dedicated_reason(self):
         # Exact-solver failures (ModelError) are expected operational
@@ -162,7 +156,6 @@ class TestExceptionFallback:
         assert decision.diagnostics.degraded
         assert decision.diagnostics.fallback_reason == "model-error"
         assert list(decision.placement) == list(current)
-        assert inner.invalidations == ["degraded"]
 
     def test_degraded_placement_drops_dead_nodes(self):
         nodes = [_node("node000")]  # node001 is gone this cycle
