@@ -15,21 +15,23 @@ Two interchangeable implementations with the same fixed point:
   of CPU from the more satisfied workload to the less satisfied one,
   shrinking the quantum when the imbalance flips sign.
 * :class:`BisectionArbiter` -- exploits monotonicity of both curves to
-  bisect on the split directly; used as the default (fast path).
+  bisect once, on the common utility level; used as the default (fast
+  path).
 
 The ABL-ARB ablation bench compares their costs and verifies fixed-point
 agreement.
 
 Probe cost
 ----------
-The arbiter's bisection is the control cycle's dominant cost because each
-``gap`` probe runs a hypothetical-utility equalization.  The
-:class:`~repro.core.demand.LongRunningCurve` it is handed carries a
-shared consumed-curve memo (see
-:class:`~repro.core.hypothetical.HypotheticalEqualizer`), which makes the
-probe sequence cheaper while returning bit-identical utilities.
-``ArbiterResult.iterations`` still counts *logical* curve evaluations, so
-the ablation's cost metric is unaffected by caching underneath.
+A split is a root of one monotone function of the long-running level
+``u``, so :class:`BisectionArbiter` runs a single bisection.  Each probe
+costs one consumed-curve evaluation of the job population plus one
+inversion of the transactional curve -- no probe runs an equalization of
+its own.  Because the probes start from the equalizer's bracket, they
+walk the same dyadic tree as the controller's float-exact equalization,
+whose first iterations are then served by the equalizer's memo.
+``ArbiterResult.iterations`` counts two evaluations per probe (one per
+workload), like the stealing loop's two utility evaluations per step.
 """
 
 from __future__ import annotations
@@ -39,7 +41,12 @@ from typing import Protocol
 
 from ..errors import ConfigurationError
 from ..types import Mhz
-from .demand import UtilityCurve
+from .demand import (
+    LongRunningCurve,
+    TransactionalAggregateCurve,
+    TransactionalCurve,
+    UtilityCurve,
+)
 
 
 @dataclass(frozen=True)
@@ -104,15 +111,28 @@ def _saturated_split(
 
 
 class BisectionArbiter:
-    """Equalizes workload utilities by bisection on the transactional share.
+    """Equalizes workload utilities by bisection on the long-running level.
 
-    ``g(a) = U_tx(a) − U_lr(capacity − a)`` is non-decreasing in ``a``
-    (both curves are non-decreasing in their own allocation), so the
-    equal-utility split is a root of ``g`` and bisection converges
-    unconditionally.  The search interval is pre-clamped to
-    ``[capacity − lr_demand, tx_demand]``: allocating a workload more than
-    its max-utility demand cannot raise its utility, so splits outside the
-    interval are dominated.
+    At a common level ``u`` the long-running workload consumes
+    ``consumed(u)`` and its arbitrated metric is ``m(u)``; the
+    transactional workload needs ``allocation_for_utility(m(u))`` to match
+    it.  The sum of the two is non-decreasing in ``u``, so the
+    equal-utility split sits at the highest ``u`` where::
+
+        G(u) = tx.allocation_for_utility(m(u)) + lr.consumed(u) - capacity <= 0
+
+    and one bisection over the equalizer's bracket ``(u_lo0, u_hi0)``
+    finds it.  The search stops once ``m`` is pinned to within
+    ``utility_tolerance``; the transactional workload then gets
+    ``allocation_for_utility(m(u_lo))`` and the long-running workload the
+    rest.  Two boundary regimes skip the search: the long-running
+    workload starved at the bracket floor (``G(u_lo0) > 0``; the
+    transactional workload is matched to the floor utility) and the
+    long-running workload at its plateau (``G(u_hi0) <= 0``; the
+    transactional workload takes what the jobs cannot use).  The
+    allocation is clamped to ``[capacity − lr_demand, tx_demand]``:
+    granting a workload more than its max-utility demand cannot raise
+    its utility, so splits outside the interval are dominated.
     """
 
     def __init__(self, utility_tolerance: float = 1e-4, max_iterations: int = 80) -> None:
@@ -124,7 +144,10 @@ class BisectionArbiter:
         self.max_iterations = max_iterations
 
     def split(
-        self, capacity: Mhz, tx_curve: UtilityCurve, lr_curve: UtilityCurve
+        self,
+        capacity: Mhz,
+        tx_curve: TransactionalCurve | TransactionalAggregateCurve,
+        lr_curve: LongRunningCurve,
     ) -> ArbiterResult:
         if capacity < 0:
             raise ConfigurationError("capacity must be non-negative")
@@ -134,44 +157,60 @@ class BisectionArbiter:
 
         lo = max(0.0, capacity - lr_curve.max_utility_demand)
         hi = min(capacity, tx_curve.max_utility_demand)
-        evals = 0
-
-        def gap(a: Mhz) -> float:
-            nonlocal evals
-            evals += 2
-            return tx_curve.utility(a) - lr_curve.utility(capacity - a)
-
-        # Boundary-dominant cases: one workload stays ahead even at its
-        # least favourable split inside the clamped interval.
-        if gap(hi) <= 0:
-            a = hi
-        elif gap(lo) >= 0:
-            a = lo
+        if lo >= hi:
+            a, evals = hi, 0  # no room to trade
         else:
-            g_mid = 1.0
-            a_lo, a_hi = lo, hi
-            for _ in range(self.max_iterations):
-                a = 0.5 * (a_lo + a_hi)
-                g_mid = gap(a)
-                if abs(g_mid) <= self.utility_tolerance:
-                    break
-                if g_mid > 0:
-                    a_hi = a
-                else:
-                    a_lo = a
-            else:
-                a = 0.5 * (a_lo + a_hi)
-
-        tx_u = tx_curve.utility(a)
-        lr_u = lr_curve.utility(capacity - a)
+            a, evals = self._level_search(capacity, tx_curve, lr_curve)
+            a = min(max(a, lo), hi)
         return ArbiterResult(
             tx_allocation=a,
             lr_allocation=capacity - a,
-            tx_utility=tx_u,
-            lr_utility=lr_u,
+            tx_utility=tx_curve.utility(a),
+            lr_utility=lr_curve.utility(capacity - a),
             iterations=evals,
             equalized=True,
         )
+
+    def _level_search(
+        self,
+        capacity: Mhz,
+        tx_curve: TransactionalCurve | TransactionalAggregateCurve,
+        lr_curve: LongRunningCurve,
+    ) -> tuple[Mhz, int]:
+        """The unclamped transactional allocation and the evaluations spent."""
+        metric = lr_curve.metric_at_level
+        tx_need = tx_curve.allocation_for_utility
+        consumed = lr_curve.consumed
+        evals = 0
+
+        def probe(u: float) -> tuple[float, Mhz, bool]:
+            """``m(u)``, the tx allocation matching it, and ``G(u) > 0``."""
+            nonlocal evals
+            evals += 2
+            m = metric(u)
+            tx_a = tx_need(m)
+            return m, tx_a, tx_a + consumed(u) > capacity
+
+        u_lo, u_hi = lr_curve.bracket
+        m_lo, a, over = probe(u_lo)
+        if over:
+            return a, evals  # LR starved: tx matched to the floor utility
+        m_hi, _, over = probe(u_hi)
+        if not over:
+            return capacity - consumed(u_hi), evals  # LR at its plateau
+        # Invariant: G(u_lo) <= 0 < G(u_hi), and a matches m(u_lo).
+        for _ in range(self.max_iterations):
+            if m_hi - m_lo <= self.utility_tolerance:
+                break
+            u_mid = 0.5 * (u_lo + u_hi)
+            if u_mid == u_lo or u_mid == u_hi:
+                break
+            m_mid, a_mid, over = probe(u_mid)
+            if over:
+                u_hi, m_hi = u_mid, m_mid
+            else:
+                u_lo, m_lo, a = u_mid, m_mid, a_mid
+        return a, evals
 
 
 class StealingArbiter:

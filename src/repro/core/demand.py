@@ -26,6 +26,7 @@ from ..errors import ConfigurationError
 from ..perf.jobmodel import JobPopulation
 from ..perf.queueing import TransactionalPerfModel
 from ..types import Mhz, WorkloadKind
+from ..utility.base import LinearUtility
 from ..utility.transactional import TransactionalUtility
 from .hypothetical import HypotheticalAllocation, HypotheticalEqualizer
 
@@ -33,15 +34,19 @@ from .hypothetical import HypotheticalAllocation, HypotheticalEqualizer
 #: the population mean (what Figure 1 plots) or the equalized level.
 LongRunningMetric = Literal["mean", "level"]
 
-#: Bisection depth for arbiter-facing curve evaluations.  The arbiter
-#: compares utilities against a 1e-4 tolerance, so driving the inner
+#: Bisection depth of :meth:`LongRunningCurve.utility`.  Arbiters
+#: compare utilities against a 1e-4 tolerance, so driving the
 #: equalization to float exactness (~55 effective iterations) buys
 #: nothing: 30 iterations bound the level error by ~1e-8 -- four orders
-#: of magnitude below the arbiter's resolution -- at half the cost of
-#: the dominant term of the control cycle.  The *final* equalization
-#: that produces per-job target rates (:meth:`LongRunningCurve.equalize`)
-#: always runs float-exact.
+#: of magnitude below that resolution.  The bisection arbiter searches the
+#: curve's level view and evaluates :meth:`LongRunningCurve.utility` only
+#: once, at its accepted split.  The equalization that produces per-job
+#: target rates (:meth:`LongRunningCurve.equalize`) always runs float-exact.
 _CURVE_EVAL_ITERS = 30
+
+#: Bisection cap when inverting a non-linear transactional utility shape;
+#: the allocation bracket reaches float resolution well before it.
+_INVERSE_ITERS = 64
 
 
 class UtilityCurve(Protocol):
@@ -92,10 +97,32 @@ class TransactionalCurve:
         return self._utility.of_allocation(self._model, allocation)
 
     def allocation_for_utility(self, target: float) -> Mhz:
-        """Smallest allocation reaching ``target`` utility (capped at demand)."""
-        return min(
-            self._utility.allocation_for_utility(self._model, target), self._demand
-        )
+        """Smallest allocation reaching ``target`` utility (capped at demand).
+
+        The linear shape inverts in closed form through the response-time
+        model.  Any other shape is only known to be non-decreasing, so it
+        is inverted by bisection on the allocation over ``[0, demand]``.
+        """
+        if isinstance(self._utility.shape, LinearUtility):
+            return min(
+                self._utility.allocation_for_utility(self._model, target), self._demand
+            )
+        lo, hi = 0.0, self._demand
+        if self.utility(hi) < target:
+            return hi  # unreachable below the plateau: capped at demand
+        if self.utility(lo) >= target:
+            return lo
+        # Invariant: utility(lo) < target <= utility(hi).  Once the
+        # midpoint lands on an endpoint the bracket is at float resolution.
+        for _ in range(_INVERSE_ITERS):
+            mid = 0.5 * (lo + hi)
+            if mid == lo or mid == hi:
+                break
+            if self.utility(mid) >= target:
+                hi = mid
+            else:
+                lo = mid
+        return hi
 
     def max_utility(self) -> float:
         """The plateau utility value."""
@@ -131,8 +158,31 @@ class TransactionalAggregateCurve:
         """The member app curves, in construction order."""
         return list(self._curves)
 
+    def allocation_for_utility(self, level: float) -> Mhz:
+        """Aggregate allocation that brings every app to ``level``.
+
+        Each app gets the smallest allocation reaching ``min(level, its
+        plateau)``, capped at its max-utility demand, so the sum is
+        non-decreasing in ``level`` and saturates at the aggregate demand
+        once ``level`` passes the highest plateau.  :meth:`split` inverts
+        it for a given allocation.
+        """
+        return sum(self._shares_at(level))
+
+    def _shares_at(self, level: float) -> list[Mhz]:
+        return [
+            min(c.allocation_for_utility(min(level, c.max_utility())), c.max_utility_demand)
+            for c in self._curves
+        ]
+
     def split(self, allocation: Mhz) -> list[Mhz]:
-        """Divide ``allocation`` among the apps, equalizing their utilities."""
+        """Divide ``allocation`` among the apps, equalizing their utilities.
+
+        The shares never sum past ``allocation``.  When even the lowest
+        searched level needs more (open-model apps below their offered
+        load), the floor-level shares are scaled down to fit, as the
+        hypothetical equalizer does in its starved regime.
+        """
         if allocation < 0:
             raise ConfigurationError("allocation must be non-negative")
         if len(self._curves) == 1:
@@ -140,28 +190,24 @@ class TransactionalAggregateCurve:
         if allocation >= self._demand:
             return [c.max_utility_demand for c in self._curves]
 
-        def consumed(level: float) -> float:
-            return sum(
-                min(c.allocation_for_utility(min(level, c.max_utility())), c.max_utility_demand)
-                for c in self._curves
-            )
-
+        consumed = self.allocation_for_utility
         hi = max(c.max_utility() for c in self._curves)
         lo = hi - 1.0
         for _ in range(60):  # expand until feasible
             if consumed(lo) <= allocation:
                 break
             lo = hi - 2 * (hi - lo)
+        else:
+            floor = self._shares_at(lo)
+            scale = allocation / sum(floor)
+            return [share * scale for share in floor]
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             if consumed(mid) > allocation:
                 hi = mid
             else:
                 lo = mid
-        return [
-            min(c.allocation_for_utility(min(lo, c.max_utility())), c.max_utility_demand)
-            for c in self._curves
-        ]
+        return self._shares_at(lo)
 
     def utility(self, allocation: Mhz) -> float:
         shares = self.split(allocation)
@@ -173,17 +219,18 @@ class TransactionalAggregateCurve:
 class LongRunningCurve:
     """Utility curve of the long-running workload via hypothetical utility.
 
-    Each evaluation runs a hypothetical-utility equalization, the single
-    most expensive operation on the control cycle's hot path, so the
-    curve holds one :class:`HypotheticalEqualizer` (the allocation-
-    independent setup is shared across the arbiter's dozen-plus
-    evaluations) and memoizes :meth:`utility` by allocation -- the
-    arbiter re-evaluates its accepted split, and a curve instance is
-    built fresh from one population snapshot per cycle, so the memo
-    cannot go stale.  :meth:`utility` results are coarse
-    (``_CURVE_EVAL_ITERS``); :meth:`equalize` is float-exact and
-    uncached -- the controller calls it exactly once per cycle for the
-    per-job target rates.
+    Two views of one population snapshot, both backed by a single
+    :class:`HypotheticalEqualizer` (its allocation-independent setup and
+    consumed-curve memo are shared by every evaluation of the cycle):
+
+    * the **allocation view** -- :meth:`utility` runs a coarse
+      (``_CURVE_EVAL_ITERS``) equalization at an allocation, and
+      :meth:`equalize` a float-exact one; the controller calls the latter
+      exactly once per cycle for the per-job target rates;
+    * the **level view** -- :attr:`bracket`, :meth:`consumed` and
+      :meth:`metric_at_level` describe the workload at a common utility
+      level ``u`` directly, with no inner search.  The bisection arbiter
+      searches on ``u`` through this view.
     """
 
     def __init__(self, population: JobPopulation, metric: LongRunningMetric = "mean") -> None:
@@ -193,7 +240,6 @@ class LongRunningCurve:
         self._metric = metric
         self._demand = float(population.total_cap) if len(population) else 0.0
         self._equalizer = HypotheticalEqualizer(population)
-        self._utility_memo: dict[float, float] = {}
 
     @property
     def kind(self) -> WorkloadKind:
@@ -213,6 +259,29 @@ class LongRunningCurve:
         """The shared equalization context (evaluation statistics)."""
         return self._equalizer
 
+    @property
+    def bracket(self) -> tuple[float, float]:
+        """The level range ``(u_lo0, u_hi0)`` every equalization searches.
+
+        At ``u_lo0`` the population is starved (allocations below
+        ``consumed(u_lo0)`` all map to this level); at ``u_hi0`` every job
+        runs at its cap.
+        """
+        return self._equalizer.bracket
+
+    def consumed(self, level: float) -> Mhz:
+        """CPU the population consumes at the common level ``level``."""
+        return self._equalizer.consumed(level)
+
+    def metric_at_level(self, level: float) -> float:
+        """The arbitrated metric with the population at ``level``.
+
+        ``level`` itself for the ``"level"`` metric; for ``"mean"`` the
+        importance-weighted mean of ``min(level, u_max_j)``.  Equal to
+        :meth:`utility` at any allocation that equalizes to ``level``.
+        """
+        return self._equalizer.level_metric(level, self._metric)
+
     def equalize(self, allocation: Mhz) -> "HypotheticalAllocation":
         """Float-exact equalization at ``allocation``."""
         return self._equalizer.equalize(allocation)
@@ -220,14 +289,9 @@ class LongRunningCurve:
     def utility(self, allocation: Mhz) -> float:
         if len(self._population) == 0:
             return 1.0
-        memo = self._utility_memo.get(allocation)
-        if memo is not None:
-            return memo
-        value = self._equalizer.metric_at(
+        return self._equalizer.metric_at(
             allocation, self._metric, bisect_iters=_CURVE_EVAL_ITERS
         )
-        self._utility_memo[allocation] = value
-        return value
 
     def max_utility(self) -> float:
         """The plateau: every job at its speed cap."""

@@ -118,22 +118,23 @@ _SURPLUS, _STARVED, _EQUALIZED = 0, 1, 2
 class HypotheticalEqualizer:
     """Reusable equalization context for one population snapshot.
 
-    The arbiter evaluates the long-running utility curve a dozen-plus
-    times per control cycle, always over the *same* population.  This
-    class hoists everything allocation-independent -- utility ceilings,
-    total cap, the zero-work mask and the bisection scratch buffers --
-    so each :meth:`equalize` call pays only for its bisection.  The
-    arithmetic is operation-for-operation identical to the original
-    single-shot routine (results are bit-identical).
+    Every control cycle queries the *same* population many times: the
+    arbiter probes its consumed curve level by level, then the controller
+    equalizes once at the accepted split.  This class hoists everything
+    allocation-independent -- utility ceilings, total cap, the zero-work
+    mask and the bisection scratch buffers -- so each :meth:`equalize`
+    call pays only for its bisection.  The arithmetic is
+    operation-for-operation identical to the original single-shot
+    routine (results are bit-identical).
 
-    A **shared consumed-curve memo** makes repeated equalizations cheap
-    without changing a result: every bisection (coarse or exact, at any
-    allocation) starts from the same ``(u_lo, u_hi)`` bracket, so the
-    midpoints it visits form one dyadic tree per population.  Memoizing
-    ``consumed(u)`` by exact float key lets the arbiter's ~15
-    equalizations share root-side evaluations -- and lets the final
-    float-exact equalization replay its first iterations for free --
-    while reproducing the identical values an uncached run computes.
+    A **shared consumed-curve memo** makes repeated evaluations cheap
+    without changing a result: every bisection (the arbiter's level
+    search, and coarse or exact equalizations at any allocation) starts
+    from the same ``(u_lo, u_hi)`` bracket, so the midpoints it visits
+    form one dyadic tree per population.  Memoizing ``consumed(u)`` by
+    exact float key lets the final float-exact equalization replay the
+    arbiter's root-side levels for free, while reproducing the identical
+    values an uncached run computes.
     """
 
     __slots__ = (
@@ -295,16 +296,22 @@ class HypotheticalEqualizer:
             raise ModelError(f"allocation must be non-negative, got {allocation}")
         if self._n == 0:
             return 1.0
-        regime, u = self._solve_level(allocation, bisect_iters)
-        u_max = self._u_max
-        if regime == _SURPLUS:
-            if metric == "level":
-                return float(u_max.max())
-            return _weighted_mean(u_max, self._weights)
+        _, u = self._solve_level(allocation, bisect_iters)
+        return self.level_metric(u, metric)
+
+    def level_metric(self, u: float, metric: str) -> float:
+        """The ``"mean"`` or ``"level"`` scalar with every job at level ``u``.
+
+        ``u`` itself, or the importance-weighted mean of
+        ``min(u, u_max_j)``; 1.0 for an empty population.  At the level
+        :meth:`equalize` finds for an allocation this is bit-equal to
+        the corresponding attribute of its result.
+        """
+        if self._n == 0:
+            return 1.0
         if metric == "level":
             return u
-        utilities = np.minimum(np.full(self._n, u), u_max)
-        return _weighted_mean(utilities, self._weights)
+        return _weighted_mean(np.minimum(u, self._u_max), self._weights)
 
     def equalize(
         self, allocation: Mhz, *, bisect_iters: int = _BISECT_ITERS

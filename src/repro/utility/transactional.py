@@ -52,7 +52,9 @@ class TransactionalUtility:
         at or above the plateau return the max-utility demand.
 
         Requires the linear shape (the default), whose inverse is trivial;
-        other shapes raise :class:`ConfigurationError`.
+        other shapes raise :class:`ConfigurationError` (the arbiter-facing
+        :meth:`repro.core.demand.TransactionalCurve.allocation_for_utility`
+        inverts them numerically).
         """
         if not isinstance(self.shape, LinearUtility):
             raise ConfigurationError(

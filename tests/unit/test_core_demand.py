@@ -9,9 +9,14 @@ from repro.core import (
     effective_capacity,
 )
 from repro.errors import ConfigurationError
-from repro.perf import ClosedTransactionalModel
+from repro.perf import ClosedTransactionalModel, OpenTransactionalModel
 from repro.types import WorkloadKind
-from repro.utility import TransactionalUtility
+from repro.utility import (
+    PiecewiseLinearUtility,
+    SigmoidUtility,
+    StepUtility,
+    TransactionalUtility,
+)
 
 from ..conftest import make_population
 
@@ -45,6 +50,34 @@ class TestTransactionalCurve:
         curve = tx_curve()
         assert curve.allocation_for_utility(10.0) == curve.max_utility_demand
 
+    @pytest.mark.parametrize(
+        "shape",
+        [
+            SigmoidUtility(midpoint=0.3, steepness=8.0),
+            StepUtility(threshold=0.2),
+            PiecewiseLinearUtility([(-1.0, -1.0), (0.0, 0.2), (0.5, 0.9)]),
+        ],
+        ids=["sigmoid", "step", "piecewise"],
+    )
+    @pytest.mark.parametrize("kind", ["closed", "open"])
+    def test_allocation_for_utility_inverts_nonlinear_shapes(self, shape, kind):
+        if kind == "closed":
+            model = ClosedTransactionalModel(210.0, 0.2, 300.0, 3000.0)
+        else:
+            model = OpenTransactionalModel(60.0, 300.0, 3000.0)
+        curve = TransactionalCurve(model, TransactionalUtility(0.4, shape))
+        bottom = curve.utility(0.0)
+        top = curve.utility(curve.max_utility_demand)
+        for frac in (0.1, 0.5, 0.9, 1.0):
+            target = bottom + frac * (top - bottom)
+            alloc = curve.allocation_for_utility(target)
+            assert 0.0 <= alloc <= curve.max_utility_demand
+            assert curve.utility(alloc) >= target
+            # Smallest such allocation: a hair less misses the target.
+            if alloc > 0.0:
+                assert curve.utility(alloc * (1 - 1e-9)) < target
+        assert curve.allocation_for_utility(top + 1.0) == curve.max_utility_demand
+
 
 class TestAggregateCurve:
     def test_single_member_passthrough(self):
@@ -72,6 +105,38 @@ class TestAggregateCurve:
         agg = TransactionalAggregateCurve(members)
         shares = agg.split(10 * agg.max_utility_demand)
         assert shares == [m.max_utility_demand for m in members]
+
+    def test_allocation_for_utility_inverts_split(self):
+        members = [tx_curve(210.0), tx_curve(100.0, goal=0.6)]
+        agg = TransactionalAggregateCurve(members)
+        level = 0.3
+        shares = agg.split(agg.allocation_for_utility(level))
+        for member, share in zip(members, shares):
+            assert member.utility(share) == pytest.approx(level, abs=1e-6)
+
+    @pytest.mark.parametrize(
+        "loads",
+        [(10.0, 20.0), (30.0, 60.0)],
+        ids=["light", "heavy"],
+    )
+    @pytest.mark.parametrize("mix", ["open", "closed", "mixed"])
+    def test_split_never_overcommits(self, loads, mix):
+        """Shares fit the allocation, including below the summed offered
+        load of open-model apps (3000 + 6000 MHz for the heavy mix)."""
+        models = []
+        for i, load in enumerate(loads):
+            if mix == "open" or (mix == "mixed" and i == 0):
+                models.append(OpenTransactionalModel(load / 3.0, 300.0, 3000.0))
+            else:
+                models.append(ClosedTransactionalModel(load, 0.2, 300.0, 3000.0))
+        agg = TransactionalAggregateCurve(
+            [TransactionalCurve(m, TransactionalUtility(0.4)) for m in models]
+        )
+        for allocation in (0.0, 1.0, 1000.0, 2999.0, 5000.0, 9000.0,
+                           0.5 * agg.max_utility_demand, agg.max_utility_demand):
+            shares = agg.split(allocation)
+            assert all(share >= 0.0 for share in shares)
+            assert sum(shares) <= allocation * (1 + 1e-12)
 
     def test_empty_aggregate_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -74,6 +74,12 @@ class TestOpenModel:
         assert math.isinf(model.response_time(3000.0))
         assert math.isinf(model.response_time(100.0))
 
+    def test_allocation_an_ulp_above_offered_load_is_saturated(self):
+        # 1 req/s x 100 MHz·s: m·mu − lambda rounds to zero one ulp above
+        # the offered load, which must read as saturation, not a crash.
+        model = OpenTransactionalModel(1.0, 100.0, 2400.0)
+        assert math.isinf(model.response_time(math.nextafter(100.0, math.inf)))
+
     def test_rt_strictly_decreasing_in_allocation(self):
         model = self.make()
         rts = [model.response_time(a) for a in (3500.0, 5000.0, 8000.0, 20_000.0)]
