@@ -293,7 +293,9 @@ class UtilityDrivenController:
         nodes:
             The *active* nodes.
         jobs:
-            All jobs ever submitted; completed/future ones are filtered.
+            The jobs to plan for.  The experiment runner hands only its
+            live jobs (submitted, not completed or cancelled); completed
+            and future ones are still filtered here for direct callers.
         current_placement:
             Ground-truth placement currently in force (owned by the
             runner, which reflects completions and failures).

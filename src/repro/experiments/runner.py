@@ -7,6 +7,13 @@ costs (start delays, suspend checkpoint losses, resume delays, migration
 pauses), integrates fluid job progress, injects node failures, and records
 the time series the paper's figures are built from.
 
+The runner owns the *live* job set.  Each control cycle first submits the
+jobs whose submit time has come; a job leaves the set when it completes or
+is stopped.  Every per-cycle pass -- progress integration, the policy's
+``jobs`` argument, completion re-prediction, the recorded population --
+walks only the live jobs, in spec order, so a cycle costs O(live jobs)
+rather than O(trace length).
+
 The runner treats the decision maker as a black-box
 :class:`PlacementPolicy`, so the paper's utility-driven controller and
 every baseline run under identical conditions.
@@ -83,7 +90,13 @@ class PlacementPolicy(Protocol):
         vm_states: Mapping[str, VmState],
         app_nodes: Mapping[str, frozenset[str]],
     ) -> ControlDecision:
-        """Produce the cycle's placement decision."""
+        """Produce the cycle's placement decision.
+
+        The runner passes as ``jobs`` only its live jobs -- submitted, not
+        completed or cancelled -- in spec order.  Implementations still
+        filter completed and future jobs themselves, since direct callers
+        may pass every job of a trace.
+        """
         ...
 
 
@@ -402,6 +415,19 @@ class ExperimentRunner:
         self._jobs: dict[str, Job] = {
             spec.job_id: Job(spec) for spec in scenario.job_specs
         }
+        # Jobs by submit time (stable, so ties keep spec order); the first
+        # ``_submitted`` of them have been submitted.
+        self._arrivals = sorted(
+            self._jobs.values(), key=lambda job: job.spec.submit_time
+        )
+        self._submitted = 0
+        # Generated traces list jobs by submit time; then submission order
+        # is spec order and arrivals simply append to the live set.
+        self._arrivals_in_spec_order = all(
+            a is b for a, b in zip(self._arrivals, self._jobs.values())
+        )
+        # Submitted, not yet completed or stopped jobs, in spec order.
+        self._live: dict[str, Job] = {}
         self._vm_to_job: dict[str, str] = {
             job.vm.vm_id: job_id for job_id, job in self._jobs.items()
         }
@@ -483,12 +509,13 @@ class ExperimentRunner:
     # Control loop
     # ------------------------------------------------------------------
     def _control_cycle(self, t: Seconds) -> None:
+        self._admit_arrivals(t)
         self._advance_running_jobs(t)
         self._feed_observations(t)
         decision = self._policy.decide(
             t,
             nodes=self._cluster.active_nodes(),
-            jobs=list(self._jobs.values()),
+            jobs=list(self._live.values()),
             current_placement=self._placement,
             vm_states=self._vm_states(),
             app_nodes=self._app_nodes(),
@@ -502,8 +529,24 @@ class ExperimentRunner:
         self._record(t, decision)
         self._cycles += 1
 
+    def _admit_arrivals(self, t: Seconds) -> None:
+        """Submit every job whose submit time is at or before ``t``."""
+        arrivals = self._arrivals
+        live = self._live
+        start = end = self._submitted
+        while end < len(arrivals) and arrivals[end].spec.submit_time <= t:
+            live[arrivals[end].job_id] = arrivals[end]
+            end += 1
+        self._submitted = end
+        if end > start and not self._arrivals_in_spec_order:
+            # Specs out of submit-time order: restore spec order, which
+            # fixes the population column order (and so float sums).
+            self._live = {
+                job_id: job for job_id, job in self._jobs.items() if job_id in live
+            }
+
     def _advance_running_jobs(self, t: Seconds) -> None:
-        for job in self._jobs.values():
+        for job in self._live.values():
             if job.phase is JobPhase.RUNNING:
                 job.advance_to(t)
 
@@ -535,8 +578,10 @@ class ExperimentRunner:
                 self._apps[app_id].start_instance(t, node_id, action.cpu_mhz)
         elif isinstance(action, StopVm):
             if action.vm_id in self._vm_to_job:
-                self._cancel_events(self._vm_to_job[action.vm_id])
-                self._job_of(action.vm_id).cancel(t)
+                job_id = self._vm_to_job[action.vm_id]
+                self._cancel_events(job_id)
+                self._jobs[job_id].cancel(t)
+                self._live.pop(job_id, None)
             else:
                 app_id, node_id = self._parse_instance(action.vm_id)
                 self._apps[app_id].stop_instance(node_id)
@@ -596,8 +641,9 @@ class ExperimentRunner:
     # Completions
     # ------------------------------------------------------------------
     def _reschedule_completions(self, t: Seconds) -> None:
-        for job_id in sorted(self._jobs):
-            job = self._jobs[job_id]
+        live = self._live
+        for job_id in sorted(live):
+            job = live[job_id]
             if job.phase is JobPhase.RUNNING and job.job_id not in self._rate_events:
                 self._schedule_completion(job, t)
 
@@ -617,6 +663,7 @@ class ExperimentRunner:
 
     def _complete(self, job_id: str, t: Seconds) -> None:
         job = self._jobs[job_id]
+        self._live.pop(job_id, None)
         self._completion_events.pop(job_id, None)
         job.complete(t)
         if job.vm.vm_id in self._placement:
@@ -660,7 +707,9 @@ class ExperimentRunner:
     # ------------------------------------------------------------------
     def _vm_states(self) -> dict[str, VmState]:
         states: dict[str, VmState] = {}
-        for job in self._jobs.values():
+        # Submitted jobs only, terminal ones included: the planner reads a
+        # VM missing from the map as PENDING, which every future job's VM is.
+        for job in self._arrivals[: self._submitted]:
             states[job.vm.vm_id] = job.vm.state
         for app_id in sorted(self._apps):
             for node_id in self._apps[app_id].instance_nodes:
@@ -687,7 +736,7 @@ class ExperimentRunner:
         noise = self.scenario.noise
         solution = decision.solution
 
-        population = snapshot_jobs(self._jobs.values(), t)
+        population = snapshot_jobs(self._live.values(), t)
         satisfied_lr = solution.satisfied_lr_demand
         rec.record("lr_allocation", t, satisfied_lr)
         rec.record("lr_demand", t, longrunning_max_utility_demand(population))
@@ -805,13 +854,12 @@ class ExperimentRunner:
             rec.bump("fallback:shard-pool", pool_failures)
 
         counts = {phase: 0 for phase in JobPhase}
-        for job in self._jobs.values():
-            if job.spec.submit_time <= t:
-                counts[job.phase] += 1
+        for job in self._live.values():
+            counts[job.phase] += 1
         rec.record("jobs_running", t, counts[JobPhase.RUNNING])
         rec.record("jobs_suspended", t, counts[JobPhase.SUSPENDED])
         rec.record("jobs_pending", t, counts[JobPhase.PENDING])
-        rec.record("jobs_completed_series", t, counts[JobPhase.COMPLETED])
+        rec.record("jobs_completed_series", t, rec.counter("jobs_completed"))
 
     # ------------------------------------------------------------------
     # Small helpers

@@ -22,6 +22,7 @@ Paper parameters reproduced by :func:`paper_scenario`:
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence
 
@@ -121,6 +122,14 @@ class Scenario:
             raise ConfigurationError("num_nodes must be >= 1")
         if self.horizon <= 0:
             raise ConfigurationError("horizon must be positive")
+        id_counts = Counter(spec.job_id for spec in self.job_specs)
+        if len(id_counts) != len(self.job_specs):
+            # The runner keys its job state by id: a duplicate would
+            # silently merge two jobs and break job conservation.
+            duplicates = sorted(i for i, n in id_counts.items() if n > 1)
+            raise ConfigurationError(
+                f"duplicate job ids in job_specs: {', '.join(duplicates)}"
+            )
         if self.node_classes:
             total = sum(cls.count for cls in self.node_classes)
             if total != self.num_nodes:

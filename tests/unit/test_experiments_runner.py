@@ -19,9 +19,14 @@ from repro.cluster import (
     StopVm,
     SuspendVm,
 )
-from repro.experiments.runner import ExperimentRunner
+from repro.cluster.placement import PlacementEntry
+from repro.cluster.vm import VmState
+from repro.core.actions_planner import plan_actions
+from repro.errors import PlacementError
+from repro.experiments.runner import ExperimentRunner, default_policy_factory
 from repro.experiments.scenario import Scenario, paper_tx_app
 from repro.config import ControllerConfig, NoiseConfig
+from repro.types import WorkloadKind
 from repro.workloads import JobPhase
 
 from ..conftest import make_job_spec
@@ -156,3 +161,103 @@ class TestCompletionMachinery:
         runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
         runner._sim.run(until=1.0)
         assert runner._jobs["j0"].rate == 3000.0
+
+
+def staggered_scenario() -> Scenario:
+    """Jobs listed out of submit-time order, with tied submit times; the
+    short ones complete within the horizon."""
+    submits = (1200.0, 0.0, 600.0, 600.0, 0.0, 3000.0)
+    specs = tuple(
+        make_job_spec(job_id=f"j{i}", submit=submit, work=3_000_000.0 * (1 + i % 3))
+        for i, submit in enumerate(submits)
+    )
+    return dataclasses.replace(tiny_scenario(), job_specs=specs, horizon=6000.0)
+
+
+class RecordingPolicy:
+    """Default-policy proxy that records the ``jobs`` each decide() gets,
+    next to every job the trace holds at that instant."""
+
+    def __init__(self, scenario):
+        self.inner = default_policy_factory(scenario)
+        self.all_jobs = ()
+        self.calls = []
+
+    def observe_app(self, app_id, **kwargs):
+        self.inner.observe_app(app_id, **kwargs)
+
+    def decide(self, t, **kwargs):
+        expected = [
+            job for job in self.all_jobs if job.spec.submit_time <= t and job.is_incomplete
+        ]
+        self.calls.append((t, list(kwargs["jobs"]), expected))
+        return self.inner.decide(t, **kwargs)
+
+
+class TestLiveJobIndex:
+    def test_policy_sees_submitted_incomplete_jobs_in_spec_order(self):
+        policies = []
+
+        def factory(scenario):
+            policies.append(RecordingPolicy(scenario))
+            return policies[0]
+
+        runner = ExperimentRunner(staggered_scenario(), factory)
+        policy = policies[0]
+        policy.all_jobs = list(runner._jobs.values())  # spec order
+        result = runner.run()
+        assert policy.calls
+        for t, jobs, expected in policy.calls:
+            assert [j.job_id for j in jobs] == [j.job_id for j in expected], t
+            assert all(a is b for a, b in zip(jobs, expected))
+        # The run exercised both filters: future jobs and completed ones.
+        assert any(len(exp) < len(policy.all_jobs) for _, _, exp in policy.calls)
+        completed = [j for j in result.jobs if j.phase is JobPhase.COMPLETED]
+        assert completed
+        last_t, last_jobs, _ = policy.calls[-1]
+        assert not {j.job_id for j in completed if j.stats.completed_at <= last_t} & {
+            j.job_id for j in last_jobs
+        }
+
+    def test_completed_series_tracks_completion_counter(self):
+        result = ExperimentRunner(staggered_scenario()).run()
+        rec = result.recorder
+        series = rec.series("jobs_completed_series")
+        for t, value in zip(series.times, series.values):
+            done = sum(
+                1
+                for j in result.jobs
+                if j.stats.completed_at is not None and j.stats.completed_at <= t
+            )
+            assert value == done, t
+        completed = sum(1 for j in result.jobs if j.phase is JobPhase.COMPLETED)
+        assert completed > 0
+        assert rec.counter("jobs_completed") == completed
+        assert series.values[-1] == rec.counter("jobs_completed")
+
+    def test_terminal_job_vm_cannot_be_placed_again(self):
+        runner = ExperimentRunner(staggered_scenario())
+        result = runner.run()
+        done = next(j for j in result.jobs if j.phase is JobPhase.COMPLETED)
+        live = next(j for j in result.jobs if j.is_incomplete)
+        runner._apply(StopVm(live.vm.vm_id), t=result.scenario.horizon)
+        assert live.phase is JobPhase.CANCELLED
+        assert live.job_id not in runner._live  # stopped jobs leave the index
+        if live.vm.vm_id in runner._placement:
+            # A policy's stop also drops the VM from its next placement.
+            runner._placement.remove(live.vm.vm_id)
+        vm_states = runner._vm_states()
+        for job in (done, live):
+            assert vm_states[job.vm.vm_id] is VmState.STOPPED
+            desired = runner._placement.copy()
+            desired.add(
+                PlacementEntry(
+                    vm_id=job.vm.vm_id,
+                    node_id="node000",
+                    cpu_mhz=1000.0,
+                    memory_mb=job.spec.memory_mb,
+                    kind=WorkloadKind.LONG_RUNNING,
+                )
+            )
+            with pytest.raises(PlacementError):
+                plan_actions(runner._placement, desired, vm_states)

@@ -1,5 +1,7 @@
 """Unit tests for scenario construction."""
 
+import dataclasses
+
 import pytest
 
 from repro.config import ControllerConfig
@@ -79,3 +81,12 @@ class TestScenarioHelpers:
         changed = base.with_controller(ControllerConfig(control_cycle=42.0))
         assert base.controller.control_cycle != 42.0
         assert changed.controller.control_cycle == 42.0
+
+    def test_duplicate_job_ids_rejected(self):
+        # The runner keys jobs by id: a shared id used to merge two specs
+        # into one job silently (20 specs in, 19 jobs out).
+        base = smoke_scenario()
+        specs = list(base.job_specs)
+        specs[-1] = dataclasses.replace(specs[-1], job_id=specs[0].job_id)
+        with pytest.raises(ConfigurationError, match=specs[0].job_id):
+            dataclasses.replace(base, job_specs=tuple(specs))

@@ -142,3 +142,43 @@ class TestCompaction:
         assert len(q) == 1
         assert q.pop() is second
         assert len(q) == 0
+
+
+class TestTieBreaking:
+    """Heap entries compare as ``(time, order, seq)``: equal time and
+    order pop in push order, whatever else happens to the heap."""
+
+    def test_equal_time_and_order_pop_in_push_order(self):
+        q = EventQueue()
+        events = [q.push(5.0, noop, order=1, tag=f"e{i}") for i in range(20)]
+        q.push(5.0, noop, order=0, tag="first")
+        q.push(4.0, noop, order=99, tag="earliest")
+        popped = [q.pop() for _ in range(22)]
+        assert [e.tag for e in popped[:2]] == ["earliest", "first"]
+        assert popped[2:] == events
+
+    def test_cancelled_head_among_ties(self):
+        q = EventQueue()
+        events = [q.push(1.0, noop, order=3) for _ in range(5)]
+        events[0].cancel()
+        events[2].cancel()
+        assert q.peek_time() == 1.0
+        assert [q.pop() for _ in range(3)] == [events[1], events[3], events[4]]
+        assert q.pop() is None
+
+    def test_ties_survive_compaction(self):
+        q = EventQueue()
+        # Interleave pushes at two instants so equal keys are scattered
+        # through the heap before the rebuild.
+        events = [q.push(float(i % 2), noop, order=0) for i in range(200)]
+        for event in events[:150]:
+            event.cancel()
+        assert len(q._heap) < 200  # compacted
+        survivors = events[150:]
+        expected = [e for e in survivors if e.time == 0.0] + [
+            e for e in survivors if e.time == 1.0
+        ]
+        got = []
+        while (event := q.pop()) is not None:
+            got.append(event)
+        assert got == expected
