@@ -46,7 +46,7 @@ from ..config import ControllerConfig
 from ..errors import UnknownEntityError
 from ..netmodel.context import NetworkContext
 from ..perf.estimator import ParameterTracker, with_network_delay
-from ..perf.jobmodel import JobPopulation, snapshot_jobs
+from ..perf.jobmodel import JobPopulation, LiveJobTable
 from ..types import Mhz, Seconds
 from ..utility.base import UtilityFunction
 from ..utility.transactional import TransactionalUtility
@@ -293,9 +293,11 @@ class UtilityDrivenController:
         nodes:
             The *active* nodes.
         jobs:
-            The jobs to plan for.  The experiment runner hands only its
-            live jobs (submitted, not completed or cancelled); completed
-            and future ones are still filtered here for direct callers.
+            The jobs to plan for.  The experiment runner hands its
+            :class:`~repro.perf.jobmodel.LiveJobTable` (submitted, not
+            completed or stopped jobs, in spec order), which is used as
+            is.  Any other sequence is still accepted: it is filtered
+            into a table of its submitted, incomplete jobs first.
         current_placement:
             Ground-truth placement currently in force (owned by the
             runner, which reflects completions and failures).
@@ -305,8 +307,8 @@ class UtilityDrivenController:
             Per-app set of nodes currently hosting an instance.
         """
         t0 = perf_counter()
-        included: list[Job] = []
-        population = snapshot_jobs(jobs, t, included=included)
+        table = LiveJobTable.from_jobs(jobs, t)
+        population = table.population(t)
         tx_curves = self._tx_curves(app_nodes)
         tx_curve = (
             tx_curves[0]
@@ -328,7 +330,7 @@ class UtilityDrivenController:
 
         app_targets = self._app_targets(tx_curves, tx_curve, split)
         app_requests = self._app_requests(app_targets, app_nodes, nodes)
-        job_requests = self._job_requests(included, population, hypothetical)
+        job_requests = self._job_requests(table, population, hypothetical)
         t4 = perf_counter()
 
         # Exact backends take a warm-start hint: the previous cycle's
@@ -501,22 +503,22 @@ class UtilityDrivenController:
 
     def _job_requests(
         self,
-        included: Sequence[Job],
+        table: LiveJobTable,
         population: JobPopulation,
         hypothetical: HypotheticalAllocation,
     ) -> list[JobRequest]:
-        """Requests for the snapshot's jobs, in snapshot order.
+        """Requests for the table's jobs, in row order.
 
-        ``included`` is the job list :func:`snapshot_jobs` collected, so
-        it is index-aligned with the population columns and the
-        hypothetical rates -- no id-keyed lookups on this hot path.
+        The population was taken from ``table``, so its rows are
+        index-aligned with the population columns and the hypothetical
+        rates -- no id-keyed lookups on this hot path.
         """
         requests = []
         append = requests.append
         suspended = VmState.SUSPENDED
         trusted = JobRequest.trusted
         for job, rate, rem in zip(
-            included, hypothetical.rates.tolist(), population.remaining.tolist()
+            table, hypothetical.rates.tolist(), population.remaining.tolist()
         ):
             spec = job.spec
             vm = job.vm

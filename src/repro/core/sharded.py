@@ -42,6 +42,7 @@ from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, replace
 from itertools import chain
+from operator import attrgetter
 from time import perf_counter, sleep
 from typing import Mapping, Optional, Sequence
 
@@ -53,10 +54,10 @@ from ..cluster.vm import VmState
 from ..config import ControllerConfig
 from ..errors import UnknownEntityError
 from ..netmodel.context import NetworkContext
-from ..perf.jobmodel import snapshot_jobs
+from ..perf.jobmodel import LiveJobTable
 from ..types import Mhz, Seconds
 from ..utility.base import UtilityFunction
-from ..workloads.jobs import Job, JobPhase
+from ..workloads.jobs import Job
 from ..workloads.transactional import TransactionalAppSpec
 from .controller import (
     ControlDecision,
@@ -69,9 +70,8 @@ from .hypothetical import HypotheticalAllocation
 from .placement_solver import PlacementSolution
 from .shard_arbiter import ShardArbiter, ShardSplit, make_shard_planner, route_by_headroom
 
-#: Job phases that participate in shard routing (completed/cancelled jobs
-#: are filtered by every shard's own snapshot anyway).
-_ROUTABLE_PHASES = (JobPhase.PENDING, JobPhase.RUNNING, JobPhase.SUSPENDED)
+#: A job's VM id, read for every job of every shard each cycle.
+_VM_ID = attrgetter("vm.vm_id")
 
 #: Worker-pool fault tolerance: rebuild attempts within one decide() when
 #: the pool breaks (a worker was killed), linear backoff between attempts,
@@ -125,7 +125,7 @@ def _decide_shard(
         UtilityDrivenController,
         Seconds,
         list[NodeSpec],
-        list[Job],
+        LiveJobTable,
         Placement,
         dict[str, VmState],
         dict[str, frozenset[str]],
@@ -400,44 +400,43 @@ class ShardedController:
 
     def _partition_jobs(
         self, t: Seconds, jobs: Sequence[Job], shard_nodes: list[list[NodeSpec]]
-    ) -> tuple[list[list[Job]], ShardSplit, bool]:
+    ) -> tuple[list[LiveJobTable], ShardSplit, bool]:
         """Partition jobs by sticky route, pricing shards only on arrivals.
 
-        A job's shard never changes once set (its shard's solver only
-        places it on that shard's nodes), so steady-state cycles reduce
-        to one dict lookup per job.  The cross-shard split -- snapshots,
-        equalizers, consumed-curve bisection -- is only recomputed when
-        there are new jobs to route (or nothing is cached yet); cycles
-        without arrivals reuse the last split, whose levels/headrooms are
-        then telemetry-stale but route nothing.  Returns the partition,
-        the (possibly reused) split, and whether it ran this cycle.
+        The jobs become one :class:`~repro.perf.jobmodel.LiveJobTable`
+        (the runner's table as is; any other sequence filtered to its
+        submitted, incomplete jobs), whose row indices are partitioned:
+        each shard gets ``table.take(rows)``, its routed rows in table
+        order followed by its newly routed ones.  A job's shard never
+        changes once set (its shard's solver only places it on that
+        shard's nodes), so steady-state cycles reduce to one dict lookup
+        per job.  The cross-shard split -- snapshots, equalizers,
+        consumed-curve bisection -- is only recomputed when there are new
+        jobs to route (or nothing is cached yet); cycles without arrivals
+        reuse the last split, whose levels/headrooms are then
+        telemetry-stale but route nothing.  Returns the partition, the
+        (possibly reused) split, and whether it ran this cycle.
         """
         shards = len(self._controllers)
         node_shard = self._node_shard
         routes = self._routes
-        shard_jobs: list[list[Job]] = [[] for _ in range(shards)]
-        unrouted: list[Job] = []
-        for job in jobs:
-            shard = routes.get(job.job_id)
-            if shard is None:
-                # First sighting: a job already hosted on a known node
-                # belongs to that node's shard; anything else waits for
-                # headroom routing below.
-                node_id = job.vm.node_id
-                if node_id is not None and node_id in node_shard:
-                    shard = node_shard[node_id]
-                    routes[job.job_id] = shard
-                else:
-                    unrouted.append(job)
-                    continue
-            shard_jobs[shard].append(job)
-        routable = [
-            job
-            for job in unrouted
-            if job.spec.submit_time <= t and job.phase in _ROUTABLE_PHASES
-        ]
+        table = LiveJobTable.from_jobs(jobs, t)
+        ids = table.job_ids
+        # Every row's shard, NaN (from ``None``) where it has no route yet.
+        shard_of = np.array(list(map(routes.get, ids)), dtype=float)
+        unrouted: list[int] = []
+        for row in np.flatnonzero(np.isnan(shard_of)).tolist():
+            # First sighting: a job already hosted on a known node belongs
+            # to that node's shard; anything else waits for headroom
+            # routing below.
+            node_id = table[row].vm.node_id
+            if node_id is not None and node_id in node_shard:
+                routes[ids[row]] = shard_of[row] = node_shard[node_id]
+            else:
+                unrouted.append(row)
+        shard_rows = [np.flatnonzero(shard_of == s).tolist() for s in range(shards)]
         split = self.last_split
-        split_ran = bool(routable) or split is None
+        split_ran = bool(unrouted) or split is None
         if split_ran:
             budgets = [
                 effective_capacity(
@@ -445,22 +444,22 @@ class ShardedController:
                 )
                 for ns in shard_nodes
             ]
-            populations = [snapshot_jobs(js, t) for js in shard_jobs]
+            populations = [table.take(rows).population(t) for rows in shard_rows]
             split = self._arbiter.split(budgets, populations)
-        if routable:
+        if unrouted:
             assignment = route_by_headroom(
-                [job.spec.speed_cap_mhz for job in routable], split.headrooms
+                [table[row].spec.speed_cap_mhz for row in unrouted], split.headrooms
             )
-            for job, shard in zip(routable, assignment):
-                routes[job.job_id] = shard
-                shard_jobs[shard].append(job)
-        return shard_jobs, split, split_ran
+            for row, shard in zip(unrouted, assignment):
+                routes[ids[row]] = shard
+                shard_rows[shard].append(row)
+        return [table.take(rows) for rows in shard_rows], split, split_ran
 
     def _build_tasks(
         self,
         t: Seconds,
         shard_nodes: list[list[NodeSpec]],
-        shard_jobs: list[list[Job]],
+        shard_jobs: list[LiveJobTable],
         current_placement: Placement,
         vm_states: Mapping[str, VmState],
         app_nodes: Mapping[str, frozenset[str]],
@@ -482,14 +481,13 @@ class ShardedController:
         # Per-shard vm_states are built from what each shard owns (its
         # jobs' VMs plus the tx instances on its nodes) rather than by
         # scanning and string-parsing the whole cluster dict per cycle.
-        shard_vm_states: list[dict[str, VmState]] = [{} for _ in range(shards)]
-        for shard, js in enumerate(shard_jobs):
-            states = shard_vm_states[shard]
-            for job in js:
-                vm_id = job.vm.vm_id
-                state = vm_states.get(vm_id)
-                if state is not None:
-                    states[vm_id] = state
+        shard_vm_states: list[dict[str, VmState]] = []
+        for js in shard_jobs:
+            vm_ids = list(map(_VM_ID, js))
+            states = dict(zip(vm_ids, map(vm_states.get, vm_ids)))
+            if None in states.values():
+                states = {vm_id: st for vm_id, st in states.items() if st is not None}
+            shard_vm_states.append(states)
         for app_id, hosted in app_nodes.items():
             for node in hosted:
                 shard = node_shard.get(node)

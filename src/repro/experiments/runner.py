@@ -7,12 +7,26 @@ costs (start delays, suspend checkpoint losses, resume delays, migration
 pauses), integrates fluid job progress, injects node failures, and records
 the time series the paper's figures are built from.
 
-The runner owns the *live* job set.  Each control cycle first submits the
-jobs whose submit time has come; a job leaves the set when it completes or
-is stopped.  Every per-cycle pass -- progress integration, the policy's
-``jobs`` argument, completion re-prediction, the recorded population --
-walks only the live jobs, in spec order, so a cycle costs O(live jobs)
-rather than O(trace length).
+The runner owns the *live* jobs as a
+:class:`~repro.perf.jobmodel.LiveJobTable`.  Each control cycle first
+admits the jobs whose submit time has come, filling their invariant
+columns (caps, goals, importance) once; a job's row is dropped when it
+completes or is stopped, and rows stay in spec order.  Every per-cycle
+pass -- progress integration, the policy's ``jobs`` argument, completion
+re-prediction, the recorded population -- walks only the live rows, so a
+cycle costs O(live jobs) rather than O(trace length), and the table is
+handed to the policy as is: population snapshots gather only the jobs'
+progress state.
+
+Completion events are scheduled only up to the next control cycle.  A
+predicted completion later than the next cycle time is not pushed: the
+next cycle re-predicts every running job without a pending rate event,
+and cancels the event of every job it suspends, migrates or stops, so
+such an event would always be cancelled unfired.  Completions sort
+before control cycles at equal times (``ORDER_COMPLETION`` <
+``ORDER_CONTROL``), so one predicted exactly at the next cycle still
+fires first.  After the last cycle the window is unbounded.  The fired
+events, their times and their relative order are therefore unchanged.
 
 The runner treats the decision maker as a black-box
 :class:`PlacementPolicy`, so the paper's utility-driven controller and
@@ -25,6 +39,7 @@ import csv
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from pathlib import Path
 from typing import Callable, Mapping, Optional, Protocol, Sequence
 
@@ -54,7 +69,7 @@ from ..core.hypothetical import (
 )
 from ..errors import SimulationError
 from ..netmodel.context import NetworkContext
-from ..perf.jobmodel import snapshot_jobs
+from ..perf.jobmodel import LiveJobTable, snapshot_jobs
 from ..sim.engine import ORDER_COMPLETION, ORDER_CONTROL, ORDER_DEFAULT, Simulator
 from ..sim.events import Event
 from ..sim.recorder import Recorder
@@ -92,13 +107,19 @@ class PlacementPolicy(Protocol):
     ) -> ControlDecision:
         """Produce the cycle's placement decision.
 
-        The runner passes as ``jobs`` only its live jobs -- submitted, not
-        completed or cancelled -- in spec order.  Implementations still
-        filter completed and future jobs themselves, since direct callers
-        may pass every job of a trace.
+        The runner passes as ``jobs`` its
+        :class:`~repro.perf.jobmodel.LiveJobTable`: the submitted, not
+        completed or stopped jobs, in spec order, with their invariant
+        columns.  Direct callers may still pass a plain sequence -- every
+        job of a trace, say -- so implementations filter completed and
+        future jobs themselves (:meth:`LiveJobTable.from_jobs` does, and
+        returns the runner's table as is).
         """
         ...
 
+
+#: Sort key of the completion sweep: job id order fixes the events' ``seq``.
+_JOB_ID = attrgetter("spec.job_id")
 
 #: Factory building a policy for a scenario (lets experiments swap baselines).
 PolicyFactory = Callable[[Scenario], PlacementPolicy]
@@ -415,19 +436,22 @@ class ExperimentRunner:
         self._jobs: dict[str, Job] = {
             spec.job_id: Job(spec) for spec in scenario.job_specs
         }
-        # Jobs by submit time (stable, so ties keep spec order); the first
-        # ``_submitted`` of them have been submitted.
-        self._arrivals = sorted(
-            self._jobs.values(), key=lambda job: job.spec.submit_time
+        # Spec positions by submit time (stable, so ties keep spec order);
+        # the first ``_submitted`` of the jobs have been submitted.
+        specs = scenario.job_specs
+        self._arrival_ranks = sorted(
+            range(len(specs)), key=lambda rank: specs[rank].submit_time
         )
+        self._arrivals = [
+            self._jobs[specs[rank].job_id] for rank in self._arrival_ranks
+        ]
         self._submitted = 0
-        # Generated traces list jobs by submit time; then submission order
-        # is spec order and arrivals simply append to the live set.
-        self._arrivals_in_spec_order = all(
-            a is b for a, b in zip(self._arrivals, self._jobs.values())
-        )
-        # Submitted, not yet completed or stopped jobs, in spec order.
-        self._live: dict[str, Job] = {}
+        # Submitted, not yet completed or stopped jobs, ranked by spec
+        # position.
+        self._live = LiveJobTable()
+        # Completion events later than this are not scheduled (module
+        # docstring); set by every control cycle.
+        self._next_cycle = math.inf
         self._vm_to_job: dict[str, str] = {
             job.vm.vm_id: job_id for job_id, job in self._jobs.items()
         }
@@ -509,13 +533,18 @@ class ExperimentRunner:
     # Control loop
     # ------------------------------------------------------------------
     def _control_cycle(self, t: Seconds) -> None:
+        # The next firing time exactly as ``Simulator.every`` computes it.
+        next_cycle = t + self.scenario.controller.control_cycle
+        self._next_cycle = (
+            next_cycle if next_cycle <= self.scenario.horizon else math.inf
+        )
         self._admit_arrivals(t)
         self._advance_running_jobs(t)
         self._feed_observations(t)
         decision = self._policy.decide(
             t,
             nodes=self._cluster.active_nodes(),
-            jobs=list(self._live.values()),
+            jobs=self._live,
             current_placement=self._placement,
             vm_states=self._vm_states(),
             app_nodes=self._app_nodes(),
@@ -532,21 +561,18 @@ class ExperimentRunner:
     def _admit_arrivals(self, t: Seconds) -> None:
         """Submit every job whose submit time is at or before ``t``."""
         arrivals = self._arrivals
-        live = self._live
-        start = end = self._submitted
+        admit = self._live.admit
+        end = self._submitted
         while end < len(arrivals) and arrivals[end].spec.submit_time <= t:
-            live[arrivals[end].job_id] = arrivals[end]
+            # Ranked by spec position: the table keeps spec order even
+            # when specs are not sorted by submit time, which fixes the
+            # population column order (and so float sums).
+            admit(arrivals[end], self._arrival_ranks[end])
             end += 1
         self._submitted = end
-        if end > start and not self._arrivals_in_spec_order:
-            # Specs out of submit-time order: restore spec order, which
-            # fixes the population column order (and so float sums).
-            self._live = {
-                job_id: job for job_id, job in self._jobs.items() if job_id in live
-            }
 
     def _advance_running_jobs(self, t: Seconds) -> None:
-        for job in self._live.values():
+        for job in self._live:
             if job.phase is JobPhase.RUNNING:
                 job.advance_to(t)
 
@@ -581,7 +607,7 @@ class ExperimentRunner:
                 job_id = self._vm_to_job[action.vm_id]
                 self._cancel_events(job_id)
                 self._jobs[job_id].cancel(t)
-                self._live.pop(job_id, None)
+                self._live.discard(job_id)
             else:
                 app_id, node_id = self._parse_instance(action.vm_id)
                 self._apps[app_id].stop_instance(node_id)
@@ -641,9 +667,7 @@ class ExperimentRunner:
     # Completions
     # ------------------------------------------------------------------
     def _reschedule_completions(self, t: Seconds) -> None:
-        live = self._live
-        for job_id in sorted(live):
-            job = live[job_id]
+        for job in sorted(self._live, key=_JOB_ID):
             if job.phase is JobPhase.RUNNING and job.job_id not in self._rate_events:
                 self._schedule_completion(job, t)
 
@@ -652,7 +676,8 @@ class ExperimentRunner:
         if event is not None and not event.fired:
             event.cancel()
         when = job.predicted_completion(t)
-        if math.isinf(when):
+        if math.isinf(when) or when > self._next_cycle:
+            # Past the next cycle, which re-predicts it (module docstring).
             return
         self._completion_events[job.job_id] = self._sim.at(
             max(when, t),
@@ -663,7 +688,7 @@ class ExperimentRunner:
 
     def _complete(self, job_id: str, t: Seconds) -> None:
         job = self._jobs[job_id]
-        self._live.pop(job_id, None)
+        self._live.discard(job_id)
         self._completion_events.pop(job_id, None)
         job.complete(t)
         if job.vm.vm_id in self._placement:
@@ -736,7 +761,7 @@ class ExperimentRunner:
         noise = self.scenario.noise
         solution = decision.solution
 
-        population = snapshot_jobs(self._live.values(), t)
+        population = snapshot_jobs(self._live, t)
         satisfied_lr = solution.satisfied_lr_demand
         rec.record("lr_allocation", t, satisfied_lr)
         rec.record("lr_demand", t, longrunning_max_utility_demand(population))
@@ -854,7 +879,7 @@ class ExperimentRunner:
             rec.bump("fallback:shard-pool", pool_failures)
 
         counts = {phase: 0 for phase in JobPhase}
-        for job in self._live.values():
+        for job in self._live:
             counts[job.phase] += 1
         rec.record("jobs_running", t, counts[JobPhase.RUNNING])
         rec.record("jobs_suspended", t, counts[JobPhase.SUSPENDED])

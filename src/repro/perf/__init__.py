@@ -2,7 +2,12 @@
 population snapshots and request-level validation micro-simulators."""
 
 from .estimator import EwmaEstimator, ParameterTracker
-from .jobmodel import JobPopulation, predicted_completions, snapshot_jobs
+from .jobmodel import (
+    JobPopulation,
+    LiveJobTable,
+    predicted_completions,
+    snapshot_jobs,
+)
 from .microsim import MicrosimResult, simulate_closed_interactive, simulate_open_mmc
 from .queueing import (
     DEFAULT_RT_TOLERANCE,
@@ -23,6 +28,7 @@ __all__ = [
     "EwmaEstimator",
     "ParameterTracker",
     "JobPopulation",
+    "LiveJobTable",
     "snapshot_jobs",
     "predicted_completions",
     "MicrosimResult",

@@ -4,17 +4,21 @@ The controller's hot path (hypothetical-utility equalization, Section 2 of
 the paper) operates on the whole incomplete-job population every control
 cycle.  To keep that O(n) with numpy instead of a Python loop per job,
 this module extracts the population state into a column-oriented
-:class:`JobPopulation` snapshot.
+:class:`JobPopulation` snapshot, taken from a :class:`LiveJobTable` that
+holds the jobs' invariant columns across cycles.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Optional, Sequence
 
 import numpy as np
 
-from ..errors import ModelError
+from ..cluster.vm import VmState
+from ..errors import LifecycleError, ModelError
 from ..types import Seconds
 from ..workloads.jobs import Job
 
@@ -98,66 +102,224 @@ class JobPopulation:
         return np.where(self.remaining <= 0, 0.0, rates)
 
 
-def snapshot_jobs(
-    jobs: Iterable[Job], t: Seconds, *, included: Optional[list[Job]] = None
-) -> JobPopulation:
+#: Per-job reads the population gather makes (private fields: the public
+#: properties are trivial accessors, and these run for every live job
+#: every control cycle).
+_REMAINING = attrgetter("_remaining")
+_RATE = attrgetter("_rate")
+_LAST_UPDATE = attrgetter("_last_update")
+_VM_STATE = attrgetter("vm._state")
+
+
+class LiveJobTable(Sequence[Job]):
+    """Row-aligned table of live jobs and their invariant columns.
+
+    A ``Sequence[Job]`` without item assignment whose rows also carry
+    each job's invariant columns -- id, speed cap, absolute goal, goal length and
+    importance -- filled once when the row is added.  :meth:`population`
+    then gathers only the mutable progress state (remaining work, rate,
+    last update) and projects it to the snapshot time with array math.
+
+    The experiment runner owns one table: :meth:`admit` adds a job when it
+    is submitted and :meth:`discard` drops it when it completes or is
+    stopped.  Rows stay sorted by the rank given at admission (the job's
+    spec position), so the column order -- and every float sum over it --
+    is independent of the admission order.  Tables built by
+    :meth:`from_jobs` and :meth:`take` are read-only snapshots.
+    """
+
+    __slots__ = ("_jobs", "_ids", "_caps", "_goals_abs", "_goal_lengths",
+                 "_importance", "_ranks", "_rank_of", "_arrays")
+
+    def __init__(self) -> None:
+        self._jobs: list[Job] = []
+        self._ids: list[str] = []
+        self._caps: list[float] = []
+        self._goals_abs: list[float] = []
+        self._goal_lengths: list[float] = []
+        self._importance: list[float] = []
+        # Sorted row ranks and the rank of every row's job id; ``None``
+        # marks a read-only snapshot.
+        self._ranks: Optional[list[int]] = []
+        self._rank_of: Optional[dict[str, int]] = {}
+        self._arrays: Optional[tuple[np.ndarray, ...]] = None
+
+    @classmethod
+    def from_jobs(cls, jobs: Iterable[Job], t: Seconds) -> "LiveJobTable":
+        """Read-only table of the *submitted, incomplete* jobs at ``t``.
+
+        Completed, cancelled and not-yet-submitted jobs are filtered out;
+        the rest keep their input order.  A :class:`LiveJobTable` is
+        returned as is (the runner's table holds only live jobs).
+        """
+        if isinstance(jobs, LiveJobTable):
+            return jobs
+        table = cls._snapshot()
+        add_job = table._jobs.append
+        add_id = table._ids.append
+        add_cap = table._caps.append
+        add_goal = table._goals_abs.append
+        add_len = table._goal_lengths.append
+        add_imp = table._importance.append
+        for job in jobs:
+            spec = job.spec
+            if spec.submit_time > t or not job.is_incomplete:
+                continue
+            add_job(job)
+            add_id(spec.job_id)
+            add_cap(spec.speed_cap_mhz)
+            add_goal(spec.absolute_goal)
+            add_len(spec.completion_goal)
+            add_imp(spec.importance)
+        return table
+
+    @classmethod
+    def _snapshot(cls) -> "LiveJobTable":
+        table = cls()
+        table._ranks = table._rank_of = None
+        return table
+
+    # ------------------------------------------------------------------
+    # Sequence protocol
+    # ------------------------------------------------------------------
+    def __len__(self) -> int:
+        return len(self._jobs)
+
+    def __getitem__(self, index):
+        return self._jobs[index]
+
+    def __iter__(self) -> Iterator[Job]:
+        return iter(self._jobs)
+
+    @property
+    def job_ids(self) -> tuple[str, ...]:
+        """Job ids, row-aligned with the jobs."""
+        return self._columns()[0]
+
+    # ------------------------------------------------------------------
+    # Membership (the runner's table only)
+    # ------------------------------------------------------------------
+    def admit(self, job: Job, rank: int) -> None:
+        """Add ``job`` as the row of ``rank`` (its spec position)."""
+        ranks = self._writable_ranks()
+        job_id = job.spec.job_id
+        if job_id in self._rank_of:
+            raise LifecycleError(f"job {job_id}: already in the live table")
+        row = bisect_left(ranks, rank)
+        if row < len(ranks) and ranks[row] == rank:
+            raise LifecycleError(f"job {job_id}: rank {rank} already taken")
+        spec = job.spec
+        ranks.insert(row, rank)
+        self._rank_of[job_id] = rank
+        self._jobs.insert(row, job)
+        self._ids.insert(row, job_id)
+        self._caps.insert(row, spec.speed_cap_mhz)
+        self._goals_abs.insert(row, spec.absolute_goal)
+        self._goal_lengths.insert(row, spec.completion_goal)
+        self._importance.insert(row, spec.importance)
+        self._arrays = None
+
+    def discard(self, job_id: str) -> None:
+        """Drop ``job_id``'s row, if it has one."""
+        ranks = self._writable_ranks()
+        rank = self._rank_of.pop(job_id, None)
+        if rank is None:
+            return
+        row = bisect_left(ranks, rank)
+        del ranks[row]
+        del self._jobs[row]
+        del self._ids[row]
+        del self._caps[row]
+        del self._goals_abs[row]
+        del self._goal_lengths[row]
+        del self._importance[row]
+        self._arrays = None
+
+    def _writable_ranks(self) -> list[int]:
+        if self._ranks is None:
+            raise LifecycleError("a LiveJobTable snapshot is read-only")
+        return self._ranks
+
+    # ------------------------------------------------------------------
+    # Columns
+    # ------------------------------------------------------------------
+    def _columns(self) -> tuple:
+        """``(ids, caps, goals_abs, goal_lengths, importance)``, built once
+        per membership change; the arrays are read-only."""
+        if self._arrays is None:
+            arrays = tuple(
+                np.array(column, dtype=float)
+                for column in (
+                    self._caps, self._goals_abs, self._goal_lengths, self._importance
+                )
+            )
+            for array in arrays:
+                array.flags.writeable = False
+            self._arrays = (tuple(self._ids), *arrays)
+        return self._arrays
+
+    def take(self, rows: Sequence[int]) -> "LiveJobTable":
+        """Read-only table of ``rows``, in the given order."""
+        ids, *arrays = self._columns()
+        jobs = self._jobs
+        sub = self._snapshot()
+        sub._jobs = [jobs[row] for row in rows]
+        sub._ids = [ids[row] for row in rows]
+        index = np.asarray(rows, dtype=np.intp)
+        taken = tuple(array[index] for array in arrays)
+        for array in taken:
+            array.flags.writeable = False
+        sub._arrays = (tuple(sub._ids), *taken)
+        return sub
+
+    def population(self, t: Seconds) -> JobPopulation:
+        """Column snapshot of the table's jobs, projected to ``t``.
+
+        Remaining work is ``max(R − rate·(t − last_update), 0)`` per row,
+        without mutating the jobs.  Raises :class:`LifecycleError` when a
+        row's VM is not live (a terminal job's VM is always stopped) and
+        :class:`ModelError` when ``t`` precedes a row's last update.
+        """
+        jobs = self._jobs
+        ids, caps, goals_abs, goal_lengths, importance = self._columns()
+        n = len(jobs)
+        # STOPPED is the one non-live state; ``in`` compares by identity
+        # in C, where a set lookup would call ``Enum.__hash__`` per row.
+        if VmState.STOPPED in map(_VM_STATE, jobs):
+            job = next(job for job in jobs if job.vm.state is VmState.STOPPED)
+            raise LifecycleError(
+                f"job {job.job_id}: VM state {job.vm.state} in the live table"
+            )
+        last_update = np.fromiter(map(_LAST_UPDATE, jobs), dtype=float, count=n)
+        early = t < last_update
+        if early.any():
+            row = int(np.argmax(early))
+            raise ModelError(
+                f"job {ids[row]}: snapshot time {t} precedes last update "
+                f"{float(last_update[row])}"
+            )
+        remaining = np.fromiter(map(_REMAINING, jobs), dtype=float, count=n)
+        rate = np.fromiter(map(_RATE, jobs), dtype=float, count=n)
+        return JobPopulation(
+            time=t,
+            job_ids=ids,
+            remaining=np.maximum(remaining - rate * (t - last_update), 0.0),
+            caps=caps,
+            goals_abs=goals_abs,
+            goal_lengths=goal_lengths,
+            importance=importance,
+        )
+
+
+def snapshot_jobs(jobs: Iterable[Job], t: Seconds) -> JobPopulation:
     """Build a :class:`JobPopulation` of the *incomplete, submitted* jobs.
 
     Jobs are advanced conceptually to ``t`` (progress since their last
     update is accounted for without mutating them).  Completed, cancelled
-    and not-yet-submitted jobs are excluded.
-
-    When ``included`` is given, the :class:`Job` objects that made it
-    into the snapshot are appended to it, in snapshot (column) order --
-    callers that need the jobs alongside the columns (the controller's
-    request builder) then avoid a second filtered pass keyed by id.
+    and not-yet-submitted jobs are excluded.  A :class:`LiveJobTable` is
+    snapshotted directly; any other iterable is filtered into one first.
     """
-    ids: list[str] = []
-    remaining: list[float] = []
-    caps: list[float] = []
-    goals_abs: list[float] = []
-    goal_lengths: list[float] = []
-    importance: list[float] = []
-    # Bound the append methods once: this loop visits every job every
-    # control cycle and is the controller's main O(population) pass.
-    add_id = ids.append
-    add_rem = remaining.append
-    add_cap = caps.append
-    add_goal = goals_abs.append
-    add_len = goal_lengths.append
-    add_imp = importance.append
-    add_job = included.append if included is not None else None
-    for job in jobs:
-        spec = job.spec
-        if spec.submit_time > t or not job.is_incomplete:
-            continue
-        # Private-field reads (the public properties are trivial
-        # accessors): this loop touches every job every control cycle
-        # and the attribute-protocol overhead is measurable at scale.
-        last_update = job._last_update
-        if t < last_update:
-            raise ModelError(
-                f"job {job.job_id}: snapshot time {t} precedes last update "
-                f"{last_update}"
-            )
-        rem = max(job._remaining - job._rate * (t - last_update), 0.0)
-        if add_job is not None:
-            add_job(job)
-        add_id(spec.job_id)
-        add_rem(rem)
-        add_cap(spec.speed_cap_mhz)
-        add_goal(spec.absolute_goal)
-        add_len(spec.completion_goal)
-        add_imp(spec.importance)
-    return JobPopulation(
-        time=t,
-        job_ids=tuple(ids),
-        remaining=np.asarray(remaining, dtype=float),
-        caps=np.asarray(caps, dtype=float),
-        goals_abs=np.asarray(goals_abs, dtype=float),
-        goal_lengths=np.asarray(goal_lengths, dtype=float),
-        importance=np.asarray(importance, dtype=float),
-    )
+    return LiveJobTable.from_jobs(jobs, t).population(t)
 
 
 def predicted_completions(population: JobPopulation, rates: Sequence[float]) -> np.ndarray:

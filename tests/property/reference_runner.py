@@ -4,13 +4,17 @@ This module preserves, verbatim, the bodies of
 :class:`~repro.experiments.runner.ExperimentRunner`'s per-cycle passes as
 they stood before the runner kept a live-job index: every control cycle
 walks *every* trace job -- completed and not-yet-submitted ones included
--- to integrate progress, hand the policy its ``jobs``, re-predict
-completions, build ``vm_states``, snapshot the population and count
-phases.  :class:`ReferenceRunner` overrides exactly those passes, so it
-never admits a job into the live index and runs the old code end to end.
-The differential test checks the production runner against it for
-identical outputs.  Do NOT edit these bodies when changing the production
-runner -- they are the reference the contract is stated against.
+-- to integrate progress, hand the policy its ``jobs`` as a plain list,
+re-predict completions, build ``vm_states``, snapshot the population
+(with the frozen per-job loop of :mod:`.reference_jobmodel`) and count
+phases.  :meth:`ReferenceRunner._schedule_completion` is the body from
+before completion events were windowed to the next control cycle: it
+schedules every finite prediction.  :class:`ReferenceRunner` overrides
+exactly those passes, so it never admits a job into the live index and
+runs the old code end to end.  The differential test checks the
+production runner against it for identical outputs.  Do NOT edit these
+bodies when changing the production runner -- they are the reference the
+contract is stated against.
 """
 
 from __future__ import annotations
@@ -24,9 +28,11 @@ from repro.core.hypothetical import (
     mean_hypothetical_utility,
 )
 from repro.experiments.runner import ExperimentRunner
-from repro.perf.jobmodel import snapshot_jobs
+from repro.sim import ORDER_COMPLETION
 from repro.types import Seconds
-from repro.workloads.jobs import JobPhase
+from repro.workloads.jobs import Job, JobPhase
+
+from .reference_jobmodel import snapshot_jobs
 
 
 class ReferenceRunner(ExperimentRunner):
@@ -62,6 +68,20 @@ class ReferenceRunner(ExperimentRunner):
             job = self._jobs[job_id]
             if job.phase is JobPhase.RUNNING and job.job_id not in self._rate_events:
                 self._schedule_completion(job, t)
+
+    def _schedule_completion(self, job: Job, t: Seconds) -> None:
+        event = self._completion_events.pop(job.job_id, None)
+        if event is not None and not event.fired:
+            event.cancel()
+        when = job.predicted_completion(t)
+        if math.isinf(when):
+            return
+        self._completion_events[job.job_id] = self._sim.at(
+            max(when, t),
+            lambda t2, job_id=job.job_id: self._complete(job_id, t2),
+            order=ORDER_COMPLETION,
+            tag=f"complete:{job.job_id}",
+        )
 
     def _vm_states(self) -> dict[str, VmState]:
         states: dict[str, VmState] = {}

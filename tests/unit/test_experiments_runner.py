@@ -7,6 +7,7 @@ paper scenario exercises only rarely -- and the cost model semantics
 """
 
 import dataclasses
+import math
 
 import pytest
 
@@ -25,6 +26,7 @@ from repro.core.actions_planner import plan_actions
 from repro.errors import PlacementError
 from repro.experiments.runner import ExperimentRunner, default_policy_factory
 from repro.experiments.scenario import Scenario, paper_tx_app
+from repro.perf.jobmodel import snapshot_jobs
 from repro.config import ControllerConfig, NoiseConfig
 from repro.types import WorkloadKind
 from repro.workloads import JobPhase
@@ -163,6 +165,56 @@ class TestCompletionMachinery:
         assert runner._jobs["j0"].rate == 3000.0
 
 
+def one_job_scenario(work: float, horizon: float) -> Scenario:
+    """One job, zero start delay and 6000 s control cycles: the job runs
+    at its 3000 MHz cap from t=0, so it completes at ``work / 3000``."""
+    return dataclasses.replace(
+        tiny_scenario(start_delay=0.0),
+        controller=ControllerConfig(control_cycle=6000.0),
+        job_specs=(make_job_spec(job_id="j0", work=work, goal=40_000.0),),
+        horizon=horizon,
+    )
+
+
+class TestCompletionWindow:
+    """Completion events are scheduled only up to the next control cycle."""
+
+    def run_recorded(self, scenario):
+        policies = []
+
+        def factory(scenario):
+            policies.append(RecordingPolicy(scenario))
+            return policies[0]
+
+        runner = ExperimentRunner(scenario, factory)
+        result = runner.run()
+        return runner, result, [(t, [j.job_id for j in jobs]) for t, jobs, _ in policies[0].calls]
+
+    def test_completion_at_the_next_cycle_fires_before_it(self):
+        # 18e6 MHz·s at 3000 MHz: predicted exactly at the 6000 s cycle.
+        runner, result, calls = self.run_recorded(one_job_scenario(18e6, 8000.0))
+        assert result.jobs[0].stats.completed_at == 6000.0
+        assert calls == [(0.0, ["j0"]), (6000.0, [])]
+
+    def test_completion_after_the_last_cycle_fires_by_the_horizon(self):
+        # The 6000 s cycle is the last (12000 > horizon): no window, so the
+        # 10000 s prediction is scheduled and fires before the horizon.
+        runner, result, calls = self.run_recorded(one_job_scenario(30e6, 11_000.0))
+        assert calls == [(0.0, ["j0"]), (6000.0, ["j0"])]
+        assert result.jobs[0].stats.completed_at == 10_000.0
+        assert runner._next_cycle == math.inf
+
+    def test_prediction_past_the_next_cycle_is_not_scheduled(self, runner):
+        runner._apply(StartVm("vm-j0", "node000", 3000.0), t=0.0)
+        runner._sim.run(until=10.0)  # the rate applies after the start delay
+        runner._next_cycle = 600.0
+        runner._schedule_completion(runner._jobs["j0"], 10.0)
+        assert "j0" not in runner._completion_events
+        runner._next_cycle = 10_010.0  # 30e6 MHz·s at 3000 MHz from t=10
+        runner._schedule_completion(runner._jobs["j0"], 10.0)
+        assert runner._completion_events["j0"].time == 10_010.0
+
+
 def staggered_scenario() -> Scenario:
     """Jobs listed out of submit-time order, with tied submit times; the
     short ones complete within the horizon."""
@@ -235,6 +287,18 @@ class TestLiveJobIndex:
         assert rec.counter("jobs_completed") == completed
         assert series.values[-1] == rec.counter("jobs_completed")
 
+    def test_stopped_job_leaves_the_population(self):
+        runner = ExperimentRunner(staggered_scenario())
+        result = runner.run()
+        t = result.scenario.horizon
+        live = [j for j in result.jobs if j.is_incomplete]
+        assert live
+        runner._apply(StopVm(live[0].vm.vm_id), t=t)
+        # A row left behind would be a terminal job in the live table,
+        # which the population gather rejects.
+        population = snapshot_jobs(runner._live, t)
+        assert population.job_ids == tuple(j.job_id for j in live[1:])
+
     def test_terminal_job_vm_cannot_be_placed_again(self):
         runner = ExperimentRunner(staggered_scenario())
         result = runner.run()
@@ -242,7 +306,8 @@ class TestLiveJobIndex:
         live = next(j for j in result.jobs if j.is_incomplete)
         runner._apply(StopVm(live.vm.vm_id), t=result.scenario.horizon)
         assert live.phase is JobPhase.CANCELLED
-        assert live.job_id not in runner._live  # stopped jobs leave the index
+        assert live not in runner._live  # stopped jobs leave the index
+        assert live.job_id not in runner._live.job_ids
         if live.vm.vm_id in runner._placement:
             # A policy's stop also drops the VM from its next placement.
             runner._placement.remove(live.vm.vm_id)
